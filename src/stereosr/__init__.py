@@ -13,14 +13,12 @@ from .tensor import (  # noqa: E402
     GradTape,
     ShapeError,
     Tensor,
-    backward,
     bilinear_upsample,
     grad_check,
 )
-from .blocks import LskaBranch, MscabParams, default_branches, mscab_forward  # noqa: E402
+from .blocks import LskaBranch, default_branches, mscab_forward  # noqa: E402
 from .transport import (  # noqa: E402
     CostVolume,
-    DeamParams,
     NonConvergenceError,
     SinkhornConfig,
     TransportPlan,
@@ -55,10 +53,10 @@ from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_pn
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvSpec", "GradTape", "ShapeError", "Tensor", "backward",
+    "ConvSpec", "GradTape", "ShapeError", "Tensor",
     "bilinear_upsample", "grad_check",
-    "LskaBranch", "MscabParams", "default_branches", "mscab_forward",
-    "CostVolume", "DeamParams", "NonConvergenceError", "SinkhornConfig",
+    "LskaBranch", "default_branches", "mscab_forward",
+    "CostVolume", "NonConvergenceError", "SinkhornConfig",
     "TransportPlan", "cost_matrix", "deam_forward", "sinkhorn", "sinkhorn_oracle",
     "ModelConfig", "StereoPair", "WeightFormatError", "WeightStore",
     "forward", "init_model", "load_weights", "save_weights",

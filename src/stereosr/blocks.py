@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .tensor import ConvSpec, Tensor, add, conv2d, global_avg_pool, layer_norm, mul, simple_gate
 
 DEFAULT_LSKA_BRANCHES = (
@@ -52,55 +50,27 @@ def default_branches() -> tuple[LskaBranch, ...]:
     return tuple(LskaBranch(*b) for b in DEFAULT_LSKA_BRANCHES)
 
 
-@dataclass(frozen=True)
-class LskaBranchParams:
-    """Weights for one branch's four depthwise convolutions."""
-
-    branch: LskaBranch
-    local_h_w: Tensor
-    local_h_b: Tensor
-    local_v_w: Tensor
-    local_v_b: Tensor
-    dilated_h_w: Tensor
-    dilated_h_b: Tensor
-    dilated_v_w: Tensor
-    dilated_v_b: Tensor
-
-
-@dataclass(frozen=True)
-class MscabParams:
-    """All weights of one block, MSCAM half then SFFN half."""
-
-    width: int
-    norm1_gain: Tensor
-    norm1_shift: Tensor
-    expand_w: Tensor          # 1x1, C -> 2C
-    expand_b: Tensor
-    dwconv_w: Tensor          # 3x3 depthwise on 2C
-    dwconv_b: Tensor
-    lska: tuple[LskaBranchParams, ...]
-    fuse_w: Tensor            # 1x1, C -> C, shared across branches
-    fuse_b: Tensor
-    sca_w: Tensor             # 1x1, C -> C, on pooled statistics
-    sca_b: Tensor
-    project_w: Tensor         # 1x1, C -> C
-    project_b: Tensor
-    attn_res_scale: Tensor    # per-channel residual scale of the MSCAM half
-    norm2_gain: Tensor
-    norm2_shift: Tensor
-    ffn_expand_w: Tensor      # 1x1, C -> 2C
-    ffn_expand_b: Tensor
-    ffn_project_w: Tensor     # 1x1, C -> C
-    ffn_project_b: Tensor
-    ffn_res_scale: Tensor     # per-channel residual scale of the SFFN half
-
-
 def _conv1x1(c_in: int, c_out: int) -> ConvSpec:
     return ConvSpec(out_ch=c_out, in_ch=c_in, kh=1, kw=1)
 
 
 def _dw(c: int, kh: int, kw: int, dilation=(1, 1)) -> ConvSpec:
     return ConvSpec(out_ch=c, in_ch=c, kh=kh, kw=kw, groups=c, dilation=dilation)
+
+
+def _lska_convs(c: int, branch: LskaBranch) -> tuple[tuple[str, ConvSpec], ...]:
+    k, dk, d = branch.base_k, branch.dilated_k, branch.dilation
+    return (
+        ("local_h", _dw(c, 1, k)),
+        ("local_v", _dw(c, k, 1)),
+        ("dilated_h", _dw(c, 1, dk, dilation=(1, d))),
+        ("dilated_v", _dw(c, dk, 1, dilation=(d, 1))),
+    )
+
+
+def apply_conv(x: Tensor, spec: ConvSpec, p, name: str) -> Tensor:
+    """conv2d with the weight and bias that ``p`` holds under ``name``."""
+    return conv2d(x, spec, p[f"{name}.weight"], p[f"{name}.bias"])
 
 
 def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -110,187 +80,97 @@ def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return mul(y, s)
 
 
-def _lska_branch(y: Tensor, p: LskaBranchParams) -> Tensor:
-    c, k, dk, d = y.c, p.branch.base_k, p.branch.dilated_k, p.branch.dilation
-    t = conv2d(y, _dw(c, 1, k), p.local_h_w, p.local_h_b)
-    t = conv2d(t, _dw(c, k, 1), p.local_v_w, p.local_v_b)
-    t = conv2d(t, _dw(c, 1, dk, dilation=(1, d)), p.dilated_h_w, p.dilated_h_b)
-    t = conv2d(t, _dw(c, dk, 1, dilation=(d, 1)), p.dilated_v_w, p.dilated_v_b)
+def _lska_branch(y: Tensor, p, j: int, branch: LskaBranch) -> Tensor:
+    t = y
+    for name, spec in _lska_convs(y.c, branch):
+        t = apply_conv(t, spec, p, f"mscam.lska.{j}.{name}")
     return t
 
 
-def mslska(y: Tensor, branches: tuple[LskaBranchParams, ...], fuse_w: Tensor,
-           fuse_b: Tensor) -> Tensor:
+def mslska(y: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
     """Multi-scale large separable kernel attention: sum the branch outputs,
     mix with a shared 1x1 convolution, and gate the input with the result."""
     if not branches:
         raise ValueError("mslska needs at least one branch")
-    acc = _lska_branch(y, branches[0])
-    for p in branches[1:]:
-        acc = add(acc, _lska_branch(y, p))
-    attn = conv2d(acc, _conv1x1(y.c, y.c), fuse_w, fuse_b)
+    acc = _lska_branch(y, p, 0, branches[0])
+    for j, branch in enumerate(branches[1:], start=1):
+        acc = add(acc, _lska_branch(y, p, j, branch))
+    attn = apply_conv(acc, _conv1x1(y.c, y.c), p, "mscam.lska.fuse")
     return mul(y, attn)
 
 
-def mscam(x: Tensor, p: MscabParams) -> Tensor:
+def mscam(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
     """Attention half of the block: norm, expand, depthwise 3x3, gate, then
-    spatial and channel attention in sequence, project, scaled residual."""
-    c = p.width
-    y = layer_norm(x, p.norm1_gain, p.norm1_shift)
-    y = conv2d(y, _conv1x1(c, 2 * c), p.expand_w, p.expand_b)
-    y = conv2d(y, _dw(2 * c, 3, 3), p.dwconv_w, p.dwconv_b)
+    spatial and channel attention in sequence, project, scaled residual.
+
+    ``p`` maps the block's parameter names (see :func:`mscab_layout`) to
+    tensors."""
+    c = x.c
+    y = layer_norm(x, p["mscam.norm.gain"], p["mscam.norm.shift"])
+    y = apply_conv(y, _conv1x1(c, 2 * c), p, "mscam.expand")
+    y = apply_conv(y, _dw(2 * c, 3, 3), p, "mscam.dwconv")
     y = simple_gate(y)
-    y = mslska(y, p.lska, p.fuse_w, p.fuse_b)
-    y = sca(y, p.sca_w, p.sca_b)
-    y = conv2d(y, _conv1x1(c, c), p.project_w, p.project_b)
-    return add(x, mul(p.attn_res_scale, y))
+    y = mslska(y, p, branches)
+    y = sca(y, p["mscam.sca.weight"], p["mscam.sca.bias"])
+    y = apply_conv(y, _conv1x1(c, c), p, "mscam.project")
+    return add(x, mul(p["mscam.res_scale"], y))
 
 
-def sffn(x: Tensor, p: MscabParams) -> Tensor:
+def sffn(x: Tensor, p) -> Tensor:
     """Feed-forward half: norm, expand to 2C, gate back to C, project,
     scaled residual."""
-    c = p.width
-    y = layer_norm(x, p.norm2_gain, p.norm2_shift)
-    y = conv2d(y, _conv1x1(c, 2 * c), p.ffn_expand_w, p.ffn_expand_b)
+    c = x.c
+    y = layer_norm(x, p["sffn.norm.gain"], p["sffn.norm.shift"])
+    y = apply_conv(y, _conv1x1(c, 2 * c), p, "sffn.expand")
     y = simple_gate(y)
-    y = conv2d(y, _conv1x1(c, c), p.ffn_project_w, p.ffn_project_b)
-    return add(x, mul(p.ffn_res_scale, y))
+    y = apply_conv(y, _conv1x1(c, c), p, "sffn.project")
+    return add(x, mul(p["sffn.res_scale"], y))
 
 
-def mscab_forward(x: Tensor, p: MscabParams) -> Tensor:
+def mscab_forward(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
     """One full block: MSCAM followed by SFFN."""
-    return sffn(mscam(x, p), p)
+    return sffn(mscam(x, p, branches), p)
 
 
 # ---------------------------------------------------------------------------
-# Parameter construction
+# Parameter layout
 # ---------------------------------------------------------------------------
 
-def conv_init(rng: np.random.Generator, spec: ConvSpec, dtype=np.float32) -> Tensor:
-    """Uniform(-k, k) weights with k = 1/sqrt(fan_in)."""
-    fan_in = (spec.in_ch // spec.groups) * spec.kh * spec.kw
-    k = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-k, k, size=spec.weight_shape).astype(dtype))
+# Init kind of a layout row drawn uniform(-k, k) with k = 1/sqrt(fan_in);
+# every other row names the constant it starts at.
+UNIFORM = "uniform"
 
 
-def _bias(c: int, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros((1, c, 1, 1), dtype=dtype))
+def conv_rows(name: str, spec: ConvSpec) -> list[tuple]:
+    """Layout rows of one convolution: uniform weight, zero bias."""
+    return [(f"{name}.weight", spec.weight_shape, UNIFORM),
+            (f"{name}.bias", (1, spec.out_ch, 1, 1), 0.0)]
 
 
-def _channel_const(c: int, value: float, dtype=np.float32) -> Tensor:
-    return Tensor(np.full((1, c, 1, 1), value, dtype=dtype))
+def norm_rows(name: str, c: int) -> list[tuple]:
+    """Layout rows of one layer norm: unit gain, zero shift."""
+    return [(f"{name}.gain", (1, c, 1, 1), 1.0), (f"{name}.shift", (1, c, 1, 1), 0.0)]
 
 
-def init_lska_branch(c: int, branch: LskaBranch, rng: np.random.Generator) -> LskaBranchParams:
-    k, dk, d = branch.base_k, branch.dilated_k, branch.dilation
-    return LskaBranchParams(
-        branch=branch,
-        local_h_w=conv_init(rng, _dw(c, 1, k)), local_h_b=_bias(c),
-        local_v_w=conv_init(rng, _dw(c, k, 1)), local_v_b=_bias(c),
-        dilated_h_w=conv_init(rng, _dw(c, 1, dk, dilation=(1, d))), dilated_h_b=_bias(c),
-        dilated_v_w=conv_init(rng, _dw(c, dk, 1, dilation=(d, 1))), dilated_v_b=_bias(c),
-    )
-
-
-def init_mscab(c: int, branches: tuple[LskaBranch, ...], rng: np.random.Generator) -> MscabParams:
-    """Fresh block parameters: unit norm gains, zero shifts/biases, unit
-    residual scales, uniform fan-in conv weights.  Draw order is fixed so a
-    seeded generator reproduces the block bit-for-bit."""
-    return MscabParams(
-        width=c,
-        norm1_gain=_channel_const(c, 1.0), norm1_shift=_bias(c),
-        expand_w=conv_init(rng, _conv1x1(c, 2 * c)), expand_b=_bias(2 * c),
-        dwconv_w=conv_init(rng, _dw(2 * c, 3, 3)), dwconv_b=_bias(2 * c),
-        lska=tuple(init_lska_branch(c, br, rng) for br in branches),
-        fuse_w=conv_init(rng, _conv1x1(c, c)), fuse_b=_bias(c),
-        sca_w=conv_init(rng, _conv1x1(c, c)), sca_b=_bias(c),
-        project_w=conv_init(rng, _conv1x1(c, c)), project_b=_bias(c),
-        attn_res_scale=_channel_const(c, 1.0),
-        norm2_gain=_channel_const(c, 1.0), norm2_shift=_bias(c),
-        ffn_expand_w=conv_init(rng, _conv1x1(c, 2 * c)), ffn_expand_b=_bias(2 * c),
-        ffn_project_w=conv_init(rng, _conv1x1(c, c)), ffn_project_b=_bias(c),
-        ffn_res_scale=_channel_const(c, 1.0),
-    )
-
-
-def named_mscab(prefix: str, p: MscabParams) -> list[tuple[str, Tensor]]:
-    """Canonical (name, tensor) pairs for one block, in draw order."""
-    items = [
-        (f"{prefix}.mscam.norm.gain", p.norm1_gain),
-        (f"{prefix}.mscam.norm.shift", p.norm1_shift),
-        (f"{prefix}.mscam.expand.weight", p.expand_w),
-        (f"{prefix}.mscam.expand.bias", p.expand_b),
-        (f"{prefix}.mscam.dwconv.weight", p.dwconv_w),
-        (f"{prefix}.mscam.dwconv.bias", p.dwconv_b),
+def mscab_layout(c: int, branches: tuple[LskaBranch, ...]) -> list[tuple]:
+    """(name, shape, init kind) rows of one block, in the seeded draw order:
+    unit norm gains and residual scales, zero shifts and biases, uniform
+    fan-in conv weights."""
+    rows = [
+        *norm_rows("mscam.norm", c),
+        *conv_rows("mscam.expand", _conv1x1(c, 2 * c)),
+        *conv_rows("mscam.dwconv", _dw(2 * c, 3, 3)),
     ]
-    for j, br in enumerate(p.lska):
-        items += [
-            (f"{prefix}.mscam.lska.{j}.local_h.weight", br.local_h_w),
-            (f"{prefix}.mscam.lska.{j}.local_h.bias", br.local_h_b),
-            (f"{prefix}.mscam.lska.{j}.local_v.weight", br.local_v_w),
-            (f"{prefix}.mscam.lska.{j}.local_v.bias", br.local_v_b),
-            (f"{prefix}.mscam.lska.{j}.dilated_h.weight", br.dilated_h_w),
-            (f"{prefix}.mscam.lska.{j}.dilated_h.bias", br.dilated_h_b),
-            (f"{prefix}.mscam.lska.{j}.dilated_v.weight", br.dilated_v_w),
-            (f"{prefix}.mscam.lska.{j}.dilated_v.bias", br.dilated_v_b),
-        ]
-    items += [
-        (f"{prefix}.mscam.lska.fuse.weight", p.fuse_w),
-        (f"{prefix}.mscam.lska.fuse.bias", p.fuse_b),
-        (f"{prefix}.mscam.sca.weight", p.sca_w),
-        (f"{prefix}.mscam.sca.bias", p.sca_b),
-        (f"{prefix}.mscam.project.weight", p.project_w),
-        (f"{prefix}.mscam.project.bias", p.project_b),
-        (f"{prefix}.mscam.res_scale", p.attn_res_scale),
-        (f"{prefix}.sffn.norm.gain", p.norm2_gain),
-        (f"{prefix}.sffn.norm.shift", p.norm2_shift),
-        (f"{prefix}.sffn.expand.weight", p.ffn_expand_w),
-        (f"{prefix}.sffn.expand.bias", p.ffn_expand_b),
-        (f"{prefix}.sffn.project.weight", p.ffn_project_w),
-        (f"{prefix}.sffn.project.bias", p.ffn_project_b),
-        (f"{prefix}.sffn.res_scale", p.ffn_res_scale),
+    for j, branch in enumerate(branches):
+        for name, spec in _lska_convs(c, branch):
+            rows += conv_rows(f"mscam.lska.{j}.{name}", spec)
+    return rows + [
+        *conv_rows("mscam.lska.fuse", _conv1x1(c, c)),
+        *conv_rows("mscam.sca", _conv1x1(c, c)),
+        *conv_rows("mscam.project", _conv1x1(c, c)),
+        ("mscam.res_scale", (1, c, 1, 1), 1.0),
+        *norm_rows("sffn.norm", c),
+        *conv_rows("sffn.expand", _conv1x1(c, 2 * c)),
+        *conv_rows("sffn.project", _conv1x1(c, c)),
+        ("sffn.res_scale", (1, c, 1, 1), 1.0),
     ]
-    return items
-
-
-def mscab_from(lookup, prefix: str, width: int,
-               branches: tuple[LskaBranch, ...]) -> MscabParams:
-    """Rebuild block parameters from a name -> Tensor lookup callable."""
-    lska = tuple(
-        LskaBranchParams(
-            branch=br,
-            local_h_w=lookup(f"{prefix}.mscam.lska.{j}.local_h.weight"),
-            local_h_b=lookup(f"{prefix}.mscam.lska.{j}.local_h.bias"),
-            local_v_w=lookup(f"{prefix}.mscam.lska.{j}.local_v.weight"),
-            local_v_b=lookup(f"{prefix}.mscam.lska.{j}.local_v.bias"),
-            dilated_h_w=lookup(f"{prefix}.mscam.lska.{j}.dilated_h.weight"),
-            dilated_h_b=lookup(f"{prefix}.mscam.lska.{j}.dilated_h.bias"),
-            dilated_v_w=lookup(f"{prefix}.mscam.lska.{j}.dilated_v.weight"),
-            dilated_v_b=lookup(f"{prefix}.mscam.lska.{j}.dilated_v.bias"),
-        )
-        for j, br in enumerate(branches)
-    )
-    return MscabParams(
-        width=width,
-        norm1_gain=lookup(f"{prefix}.mscam.norm.gain"),
-        norm1_shift=lookup(f"{prefix}.mscam.norm.shift"),
-        expand_w=lookup(f"{prefix}.mscam.expand.weight"),
-        expand_b=lookup(f"{prefix}.mscam.expand.bias"),
-        dwconv_w=lookup(f"{prefix}.mscam.dwconv.weight"),
-        dwconv_b=lookup(f"{prefix}.mscam.dwconv.bias"),
-        lska=lska,
-        fuse_w=lookup(f"{prefix}.mscam.lska.fuse.weight"),
-        fuse_b=lookup(f"{prefix}.mscam.lska.fuse.bias"),
-        sca_w=lookup(f"{prefix}.mscam.sca.weight"),
-        sca_b=lookup(f"{prefix}.mscam.sca.bias"),
-        project_w=lookup(f"{prefix}.mscam.project.weight"),
-        project_b=lookup(f"{prefix}.mscam.project.bias"),
-        attn_res_scale=lookup(f"{prefix}.mscam.res_scale"),
-        norm2_gain=lookup(f"{prefix}.sffn.norm.gain"),
-        norm2_shift=lookup(f"{prefix}.sffn.norm.shift"),
-        ffn_expand_w=lookup(f"{prefix}.sffn.expand.weight"),
-        ffn_expand_b=lookup(f"{prefix}.sffn.expand.bias"),
-        ffn_project_w=lookup(f"{prefix}.sffn.project.weight"),
-        ffn_project_b=lookup(f"{prefix}.sffn.project.bias"),
-        ffn_res_scale=lookup(f"{prefix}.sffn.res_scale"),
-    )

@@ -107,10 +107,13 @@ def parse_config_file(path) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 def _load_pair(left_path, right_path) -> StereoPair:
-    return StereoPair(
-        left=load_png(left_path).to_tensor(),
-        right=load_png(right_path).to_tensor(),
-    )
+    left, right = load_png(left_path).to_tensor(), load_png(right_path).to_tensor()
+    if left.shape != right.shape:
+        raise UsageError(
+            f"left view is {left.h}x{left.w} but right view is {right.h}x{right.w}; "
+            f"stereo views must have the same size"
+        )
+    return StereoPair(left=left, right=right)
 
 
 def _cmd_infer(args) -> int:
@@ -208,6 +211,18 @@ def _cmd_metrics(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"   # argparse names the type in its error message
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stereosr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -226,21 +241,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_at_least(0), required=True)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_overfit)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every "
                                          "primitive and a tiny end-to-end model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("sinkhorn-demo", help="print a random transport plan and "
                                              "its marginal violations")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", type=_at_least(1), default=8)
+    p.add_argument("--iters", type=_at_least(1), default=10)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_sinkhorn_demo)
 
     p = sub.add_parser("metrics", help="PSNR and SSIM between two images")

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import blocks as _blocks
 from . import transport as _transport
-from .blocks import LskaBranch, MscabParams, conv_init, default_branches, mscab_from, named_mscab
-from .tensor import ConvSpec, ShapeError, Tensor, add, bilinear_upsample, conv2d, pixel_shuffle
-from .transport import DeamParams, SinkhornConfig, deam_from, named_deam
+from .blocks import UNIFORM, LskaBranch, apply_conv, conv_rows, default_branches, mscab_layout
+from .tensor import ConvSpec, ShapeError, Tensor, add, bilinear_upsample, pixel_shuffle
+from .transport import SinkhornConfig, deam_layout
 
 MAGIC = b"MSIN"
 FORMAT_VERSION = 1
@@ -141,15 +141,50 @@ class WeightStore:
 
 
 # ---------------------------------------------------------------------------
-# Initialization
+# Parameter layout and initialization
 # ---------------------------------------------------------------------------
 
-def _head_out_channels(cfg: ModelConfig) -> int:
-    return 3 * cfg.scale * cfg.scale
+def _intro(cfg: ModelConfig) -> ConvSpec:
+    return ConvSpec(out_ch=cfg.width, in_ch=3, kh=3, kw=3)
 
 
-def _view_prefixes(cfg: ModelConfig) -> tuple[str, ...]:
-    return ("",) if cfg.share_view_weights else ("left.", "right.")
+def _head(cfg: ModelConfig) -> ConvSpec:
+    return ConvSpec(out_ch=3 * cfg.scale * cfg.scale, in_ch=cfg.width, kh=3, kw=3)
+
+
+def _views(cfg: ModelConfig) -> tuple[str, str]:
+    """Name prefixes of the left and the right view's weights."""
+    return ("", "") if cfg.share_view_weights else ("left.", "right.")
+
+
+def layout(cfg: ModelConfig):
+    """Yield every parameter of the network as a (name, shape, init kind)
+    row, in store order, which is also the seeded draw order: per view the
+    shallow conv, the blocks and the head, then the cross-view stages."""
+    block = mscab_layout(cfg.width, cfg.lska_branches)
+    for view in dict.fromkeys(_views(cfg)):   # once when the views share weights
+        yield from conv_rows(f"{view}intro", _intro(cfg))
+        for i in range(cfg.n_blocks):
+            for name, shape, init in block:
+                yield f"{view}block.{i}.{name}", shape, init
+        yield from conv_rows(f"{view}head", _head(cfg))
+    deam = deam_layout(cfg.width)
+    for i in cfg.deam_stages():
+        for name, shape, init in deam:
+            yield f"deam.{i}.{name}", shape, init
+
+
+def init_params(rows, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Draw the tensors of layout ``rows`` in row order: uniform(-k, k) with
+    k = 1/sqrt(fan_in) for uniform rows, the row's constant otherwise."""
+    out = {}
+    for name, shape, init in rows:
+        if init == UNIFORM:
+            k = 1.0 / np.sqrt(np.prod(shape[1:]))
+            out[name] = Tensor(rng.uniform(-k, k, size=shape).astype(np.float32))
+        else:
+            out[name] = Tensor(np.full(shape, init, dtype=np.float32))
+    return out
 
 
 def init_model(cfg: ModelConfig, seed: int) -> WeightStore:
@@ -159,31 +194,33 @@ def init_model(cfg: ModelConfig, seed: int) -> WeightStore:
     norm shifts are zero; norm gains and block residual scales are one; all
     cross-view fusion scales are exactly zero.
     """
-    rng = np.random.default_rng(seed)
-    store = WeightStore(cfg)
-    for view in _view_prefixes(cfg):
-        intro = ConvSpec(out_ch=cfg.width, in_ch=3, kh=3, kw=3)
-        store.add(f"{view}intro.weight", conv_init(rng, intro))
-        store.add(f"{view}intro.bias", Tensor(np.zeros((1, cfg.width, 1, 1), np.float32)))
-        for i in range(cfg.n_blocks):
-            p = _blocks.init_mscab(cfg.width, cfg.lska_branches, rng)
-            for name, t in named_mscab(f"{view}block.{i}", p):
-                store.add(name, t)
-        head = ConvSpec(out_ch=_head_out_channels(cfg), in_ch=cfg.width, kh=3, kw=3)
-        store.add(f"{view}head.weight", conv_init(rng, head))
-        store.add(f"{view}head.bias", Tensor(np.zeros((1, head.out_ch, 1, 1), np.float32)))
-    for i in cfg.deam_stages():
-        for name, t in named_deam(f"deam.{i}", _transport.init_deam(cfg.width, rng)):
-            store.add(name, t)
-    return store
+    params = init_params(layout(cfg), np.random.default_rng(seed))
+    return WeightStore(cfg, params.items())
 
 
-def _block_params(store: WeightStore, cfg: ModelConfig, view: str, i: int) -> MscabParams:
-    return mscab_from(store.__getitem__, f"{view}block.{i}", cfg.width, cfg.lska_branches)
+def _check_layout(store: WeightStore) -> None:
+    """Raise WeightFormatError unless ``store`` holds exactly the tensors
+    its config's layout lists, with the listed shapes."""
+    count = 0
+    for name, shape, _ in layout(store.config):
+        if name not in store:
+            raise WeightFormatError(f"missing tensor {name!r}, which the config needs")
+        if store[name].shape != shape:
+            raise WeightFormatError(
+                f"tensor {name!r} has shape {store[name].shape}, the config needs {shape}"
+            )
+        count += 1
+    if len(store) != count:
+        known = {name for name, _, _ in layout(store.config)}
+        extra = [name for name in store.names() if name not in known]
+        raise WeightFormatError(
+            f"{len(extra)} tensor(s) the config does not use, first {extra[0]!r}"
+        )
 
 
-def _deam_params(store: WeightStore, i: int) -> DeamParams:
-    return deam_from(store.__getitem__, f"deam.{i}")
+def _params(store: WeightStore, prefix: str, rows) -> dict[str, Tensor]:
+    # one module's tensors keyed by their names relative to ``prefix``
+    return {name: store[prefix + name] for name, _, _ in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +241,25 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
     if pair.left.c != 3:
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
 
-    views = _view_prefixes(cfg)
-    left_view, right_view = (views[0], views[0]) if len(views) == 1 else views
-    intro = ConvSpec(out_ch=cfg.width, in_ch=3, kh=3, kw=3)
-    x_l = conv2d(pair.left, intro, store[f"{left_view}intro.weight"], store[f"{left_view}intro.bias"])
-    x_r = conv2d(pair.right, intro, store[f"{right_view}intro.weight"], store[f"{right_view}intro.bias"])
+    left, right = _views(cfg)
+    intro, head = _intro(cfg), _head(cfg)
+    x_l = apply_conv(pair.left, intro, store, f"{left}intro")
+    x_r = apply_conv(pair.right, intro, store, f"{right}intro")
 
+    block = mscab_layout(cfg.width, cfg.lska_branches)
+    deam = deam_layout(cfg.width)
     deam_at = set(cfg.deam_stages())
     sk = cfg.sinkhorn_config()
     for i in range(cfg.n_blocks):
-        x_l = _blocks.mscab_forward(x_l, _block_params(store, cfg, left_view, i))
-        x_r = _blocks.mscab_forward(x_r, _block_params(store, cfg, right_view, i))
+        p_l = _params(store, f"{left}block.{i}.", block)
+        p_r = _params(store, f"{right}block.{i}.", block)
+        x_l = _blocks.mscab_forward(x_l, p_l, cfg.lska_branches)
+        x_r = _blocks.mscab_forward(x_r, p_r, cfg.lska_branches)
         if i in deam_at:
-            x_l, x_r, _ = _transport.deam_forward(x_l, x_r, _deam_params(store, i), sk)
+            x_l, x_r, _ = _transport.deam_forward(x_l, x_r, _params(store, f"deam.{i}.", deam), sk)
 
-    head = ConvSpec(out_ch=_head_out_channels(cfg), in_ch=cfg.width, kh=3, kw=3)
-    y_l = pixel_shuffle(conv2d(x_l, head, store[f"{left_view}head.weight"], store[f"{left_view}head.bias"]), cfg.scale)
-    y_r = pixel_shuffle(conv2d(x_r, head, store[f"{right_view}head.weight"], store[f"{right_view}head.bias"]), cfg.scale)
+    y_l = pixel_shuffle(apply_conv(x_l, head, store, f"{left}head"), cfg.scale)
+    y_r = pixel_shuffle(apply_conv(x_r, head, store, f"{right}head"), cfg.scale)
     if cfg.global_residual:
         y_l = add(y_l, bilinear_upsample(pair.left, cfg.scale))
         y_r = add(y_r, bilinear_upsample(pair.right, cfg.scale))
@@ -290,7 +329,8 @@ class _Reader:
 
 
 def load_weights(path) -> WeightStore:
-    """Read a weight file, validating magic, version, flags and layout."""
+    """Read a weight file, validating magic, version, flags, framing, and
+    the tensor names and shapes against the config's layout."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -299,14 +339,14 @@ def load_weights(path) -> WeightStore:
     (version,) = r.unpack("<I")
     if version != FORMAT_VERSION:
         raise WeightFormatError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
-    n_blocks, width, scale, branch_count = r.unpack("<IIII")
-    branches = tuple(LskaBranch(*r.unpack("<III")) for _ in range(branch_count))
+    *sizes, branch_count = r.unpack("<IIII")   # n_blocks, width, scale
+    branches = [r.unpack("<III") for _ in range(branch_count)]
     sinkhorn_iters, flags = r.unpack("<II")
     if flags & ~_KNOWN_FLAGS:
         raise WeightFormatError(f"unknown config flag bits: {flags:#x}")
     try:
         cfg = ModelConfig(
-            n_blocks=n_blocks, width=width, scale=scale, lska_branches=branches,
+            *sizes, lska_branches=tuple(LskaBranch(*b) for b in branches),
             sinkhorn_iters=sinkhorn_iters,
             share_view_weights=bool(flags & _FLAG_SHARE_VIEW_WEIGHTS),
             single_interaction=bool(flags & _FLAG_SINGLE_INTERACTION),
@@ -319,7 +359,10 @@ def load_weights(path) -> WeightStore:
     store = WeightStore(cfg)
     for _ in range(tensor_count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise WeightFormatError(f"tensor name is not valid UTF-8: {e}") from e
         (rank,) = r.unpack("<B")
         dims = r.unpack(f"<{rank}I")
         numel = int(np.prod(dims, dtype=np.int64)) if rank else 1
@@ -331,4 +374,5 @@ def load_weights(path) -> WeightStore:
             raise WeightFormatError(f"tensor {name!r}: {e}") from e
     if r.pos != len(blob):
         raise WeightFormatError(f"{len(blob) - r.pos} trailing bytes after last tensor")
+    _check_layout(store)
     return store

@@ -94,11 +94,6 @@ def full(shape, value, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.full(shape, value, dtype=dtype))
 
 
-def scalar(value, dtype=DEFAULT_DTYPE) -> Tensor:
-    """A (1, 1, 1, 1) tensor holding one value."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=dtype))
-
-
 # ---------------------------------------------------------------------------
 # Gradient tape
 # ---------------------------------------------------------------------------
@@ -191,11 +186,6 @@ class GradTape:
                     grads[tid] = acc + g
                     owned.add(tid)
         return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
-
-
-def backward(tape: GradTape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Replay ``tape`` in reverse, returning d(loss)/d(param) per parameter."""
-    return tape.gradients(loss, params)
 
 
 def _record(name: str, inputs: tuple, outputs: tuple, backward_fn: _BackwardFn) -> None:
@@ -353,9 +343,11 @@ def transpose(a: Tensor, axes: tuple[int, int, int, int]) -> Tensor:
 class ConvSpec:
     """Stride-1 cross-correlation with zero "same" padding.
 
-    ``kernel`` is laid out (out_ch, in_ch_per_group, kh, kw).  Effective
-    kernel extents (k - 1) * dilation + 1 must be odd so the symmetric
-    padding ((k - 1) * d) / 2 reproduces the input spatial size exactly.
+    ``groups`` is 1 (full) or equal to ``in_ch`` and ``out_ch``
+    (depthwise); ``kernel`` is laid out (out_ch, in_ch // groups, kh, kw).
+    Effective kernel extents (k - 1) * dilation + 1 must be odd so the
+    symmetric padding ((k - 1) * d) / 2 reproduces the input spatial size
+    exactly.
     """
 
     out_ch: int
@@ -366,12 +358,11 @@ class ConvSpec:
     dilation: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        if self.groups < 1:
-            raise ShapeError(f"groups must be positive, got {self.groups}")
-        if self.in_ch % self.groups:
-            raise ShapeError(f"in_ch {self.in_ch} not divisible by groups {self.groups}")
-        if self.out_ch % self.groups:
-            raise ShapeError(f"out_ch {self.out_ch} not divisible by groups {self.groups}")
+        if self.groups != 1 and not self.groups == self.in_ch == self.out_ch:
+            raise ShapeError(
+                f"groups must be 1 or equal in_ch and out_ch (depthwise); got groups "
+                f"{self.groups} with in_ch {self.in_ch}, out_ch {self.out_ch}"
+            )
         dh, dw = self.dilation
         if dh < 1 or dw < 1:
             raise ShapeError(f"dilation must be >= 1, got {self.dilation}")
@@ -450,20 +441,13 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
                 out += padded[:, :, i * dh:i * dh + h, j * dw_:j * dw_ + wd] \
                     * w[:, 0, i, j].reshape(1, cin, 1, 1)
         return out
-    if spec.groups == 1:
-        if spec.kh == 1 and spec.kw == 1:
-            if n == 1:
-                flat = w.reshape(spec.out_ch, cin) @ x.reshape(cin, h * wd)
-                return flat.reshape(1, spec.out_ch, h, wd)
-            return _einsum("oc,nchw->nohw", w.reshape(spec.out_ch, cin), x)
-        flat = w.reshape(spec.out_ch, -1) @ _im2col(x, spec)
-        return _to_batch_major(flat, n, h, wd)
-    g = spec.groups
-    win = _conv_windows(x, spec)
-    wing = win.reshape(n, g, cin // g, h, wd, spec.kh, spec.kw)
-    wg = w.reshape(g, spec.out_ch // g, cin // g, spec.kh, spec.kw)
-    out = _einsum("ngchwkl,gockl->ngohw", wing, wg)
-    return out.reshape(n, spec.out_ch, h, wd)
+    if spec.kh == 1 and spec.kw == 1:
+        if n == 1:
+            flat = w.reshape(spec.out_ch, cin) @ x.reshape(cin, h * wd)
+            return flat.reshape(1, spec.out_ch, h, wd)
+        return _einsum("oc,nchw->nohw", w.reshape(spec.out_ch, cin), x)
+    flat = w.reshape(spec.out_ch, -1) @ _im2col(x, spec)
+    return _to_batch_major(flat, n, h, wd)
 
 
 def _conv_grad_w(x: np.ndarray, gout: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -471,31 +455,22 @@ def _conv_grad_w(x: np.ndarray, gout: np.ndarray, spec: ConvSpec) -> np.ndarray:
     if spec.groups == cin and spec.out_ch == cin:
         win = _conv_windows(x, spec)
         return _einsum("nchwkl,nchw->ckl", win, gout)[:, None]
-    if spec.groups == 1:
-        gm = gout.reshape(spec.out_ch, -1) if n == 1 \
-            else gout.transpose(1, 0, 2, 3).reshape(spec.out_ch, -1)
-        if spec.kh == 1 and spec.kw == 1:
-            xm = x.reshape(cin, -1) if n == 1 else x.transpose(1, 0, 2, 3).reshape(cin, -1)
-            return (gm @ xm.T).reshape(spec.weight_shape)
-        return (gm @ _im2col(x, spec).T).reshape(spec.weight_shape)
-    g = spec.groups
-    win = _conv_windows(x, spec)
-    wing = win.reshape(n, g, cin // g, h, wd, spec.kh, spec.kw)
-    goutg = gout.reshape(n, g, spec.out_ch // g, h, wd)
-    dw = _einsum("ngchwkl,ngohw->gockl", wing, goutg)
-    return dw.reshape(spec.out_ch, cin // g, spec.kh, spec.kw)
+    gm = gout.reshape(spec.out_ch, -1) if n == 1 \
+        else gout.transpose(1, 0, 2, 3).reshape(spec.out_ch, -1)
+    if spec.kh == 1 and spec.kw == 1:
+        xm = x.reshape(cin, -1) if n == 1 else x.transpose(1, 0, 2, 3).reshape(cin, -1)
+        return (gm @ xm.T).reshape(spec.weight_shape)
+    return (gm @ _im2col(x, spec).T).reshape(spec.weight_shape)
 
 
 def _conv_grad_x(gout: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     # Cross-correlate the output gradient with the spatially flipped kernel,
-    # in/out channel roles swapped within each group.
-    g = spec.groups
-    cpg, opg = spec.in_ch // g, spec.out_ch // g
-    wt = w.reshape(g, opg, cpg, spec.kh, spec.kw).transpose(0, 2, 1, 3, 4)
-    wt = np.ascontiguousarray(wt[..., ::-1, ::-1]).reshape(spec.in_ch, opg, spec.kh, spec.kw)
+    # in/out channel roles swapped (a depthwise kernel keeps its layout).
+    wt = w if spec.groups > 1 else w.swapaxes(0, 1)
+    wt = np.ascontiguousarray(wt[..., ::-1, ::-1])
     spec_t = ConvSpec(
         out_ch=spec.in_ch, in_ch=spec.out_ch, kh=spec.kh, kw=spec.kw,
-        groups=g, dilation=spec.dilation,
+        groups=spec.groups, dilation=spec.dilation,
     )
     return _conv_forward(gout, wt, spec_t)
 
@@ -607,28 +582,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
         return (np.ascontiguousarray(g.reshape(n, c, h, w)),)
 
     _record("pixel_shuffle", (x,), (out,), bwd)
-    return out
-
-
-def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
-    """Inverse of :func:`pixel_shuffle`."""
-    if r < 1:
-        raise ShapeError(f"downscale factor must be >= 1, got {r}")
-    if x.h % r or x.w % r:
-        raise ShapeError(f"spatial size {x.h}x{x.w} not divisible by r = {r}")
-    n, c, h, w = x.shape
-    out_data = (
-        x.data.reshape(n, c, h // r, r, w // r, r)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, c * r * r, h // r, w // r)
-    )
-    out = Tensor(np.ascontiguousarray(out_data))
-
-    def bwd(gs, wanted):
-        g = gs[0].reshape(n, c, r, r, h // r, w // r).transpose(0, 1, 4, 2, 5, 3)
-        return (np.ascontiguousarray(g.reshape(n, c, h, w)),)
-
-    _record("pixel_unshuffle", (x,), (out,), bwd)
     return out
 
 

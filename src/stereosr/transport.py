@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import apply_conv, conv_rows, norm_rows
 from .tensor import (
     ConvSpec,
     ShapeError,
     Tensor,
     add,
     batched_matmul,
-    conv2d,
     exp,
     layer_norm,
     logsumexp,
@@ -48,7 +48,6 @@ class CostVolume:
     """
 
     values: Tensor
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,31 +78,6 @@ class SinkhornConfig:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
 
 
-@dataclass(frozen=True)
-class DeamParams:
-    """Weights of one cross-view interaction stage.
-
-    ``fuse_scale_l`` / ``fuse_scale_r`` are the per-channel mixing scales on
-    the transported features; both are zero-initialized so a fresh stage
-    passes its inputs through unchanged.
-    """
-
-    norm_l_gain: Tensor
-    norm_l_shift: Tensor
-    norm_r_gain: Tensor
-    norm_r_shift: Tensor
-    match_l_w: Tensor    # 1x1 projection feeding the cost matrix, left view
-    match_l_b: Tensor
-    match_r_w: Tensor
-    match_r_b: Tensor
-    value_l_w: Tensor    # 1x1 projection of the features that get transported
-    value_l_b: Tensor
-    value_r_w: Tensor
-    value_r_b: Tensor
-    fuse_scale_l: Tensor
-    fuse_scale_r: Tensor
-
-
 def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
     """Scaled per-row similarity: M[h] = rowsL(h) @ rowsR(h)^T / sqrt(c).
 
@@ -114,9 +88,8 @@ def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
     c = u_l.c
     rows_l = transpose(u_l, (0, 2, 3, 1))        # (n, h, w, c)
     rows_r = transpose(u_r, (0, 2, 1, 3))        # (n, h, c, w)
-    scale = 1.0 / math.sqrt(c)
-    scores = mul(batched_matmul(rows_l, rows_r), scale)
-    return CostVolume(values=scores, scale=scale)
+    scores = mul(batched_matmul(rows_l, rows_r), 1.0 / math.sqrt(c))
+    return CostVolume(values=scores)
 
 
 def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
@@ -182,7 +155,7 @@ def _conv1x1(c: int) -> ConvSpec:
     return ConvSpec(out_ch=c, in_ch=c, kh=1, kw=1)
 
 
-def deam_forward(x_l: Tensor, x_r: Tensor, p: DeamParams,
+def deam_forward(x_l: Tensor, x_r: Tensor, p,
                  cfg: SinkhornConfig = SinkhornConfig()) -> tuple[Tensor, Tensor, TransportPlan]:
     """One cross-view interaction: match, transport, fuse.
 
@@ -190,16 +163,17 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p: DeamParams,
     value features from a 1x1 projection of the raw inputs.  The transport
     plan moves right values to left positions (and its transpose the other
     way); each view adds the transported features scaled per channel.
-    Returns the fused pair and the plan.
+    Returns the fused pair and the plan.  ``p`` maps the stage's parameter
+    names (see :func:`deam_layout`) to tensors.
     """
     if x_l.shape != x_r.shape:
         raise ShapeError(f"view shapes differ: {x_l.shape} vs {x_r.shape}")
     c = x_l.c
     spec = _conv1x1(c)
-    match_l = conv2d(layer_norm(x_l, p.norm_l_gain, p.norm_l_shift), spec, p.match_l_w, p.match_l_b)
-    match_r = conv2d(layer_norm(x_r, p.norm_r_gain, p.norm_r_shift), spec, p.match_r_w, p.match_r_b)
-    value_l = conv2d(x_l, spec, p.value_l_w, p.value_l_b)
-    value_r = conv2d(x_r, spec, p.value_r_w, p.value_r_b)
+    match_l = apply_conv(layer_norm(x_l, p["norm_l.gain"], p["norm_l.shift"]), spec, p, "match_l")
+    match_r = apply_conv(layer_norm(x_r, p["norm_r.gain"], p["norm_r.shift"]), spec, p, "match_r")
+    value_l = apply_conv(x_l, spec, p, "value_l")
+    value_r = apply_conv(x_r, spec, p, "value_r")
 
     plan = sinkhorn(cost_matrix(match_l, match_r), cfg)
     t = plan.values
@@ -211,72 +185,23 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p: DeamParams,
         batched_matmul(transpose(t, (0, 1, 3, 2)), rows_value_l), (0, 3, 1, 2)
     )
 
-    f_l = add(x_l, mul(p.fuse_scale_l, to_left))
-    f_r = add(x_r, mul(p.fuse_scale_r, to_right))
+    f_l = add(x_l, mul(p["fuse_scale_l"], to_left))
+    f_r = add(x_r, mul(p["fuse_scale_r"], to_right))
     return f_l, f_r, plan
 
 
 # ---------------------------------------------------------------------------
-# Parameter construction
+# Parameter layout
 # ---------------------------------------------------------------------------
 
-def init_deam(c: int, rng: np.random.Generator) -> DeamParams:
-    """Fresh stage parameters; the fusion scales start at exactly zero."""
-    from .blocks import conv_init
+def deam_layout(c: int) -> list[tuple]:
+    """(name, shape, init kind) rows of one stage, in the seeded draw order.
 
-    def bias():
-        return Tensor(np.zeros((1, c, 1, 1), dtype=np.float32))
-
-    def ones():
-        return Tensor(np.ones((1, c, 1, 1), dtype=np.float32))
-
-    spec = _conv1x1(c)
-    return DeamParams(
-        norm_l_gain=ones(), norm_l_shift=bias(),
-        norm_r_gain=ones(), norm_r_shift=bias(),
-        match_l_w=conv_init(rng, spec), match_l_b=bias(),
-        match_r_w=conv_init(rng, spec), match_r_b=bias(),
-        value_l_w=conv_init(rng, spec), value_l_b=bias(),
-        value_r_w=conv_init(rng, spec), value_r_b=bias(),
-        fuse_scale_l=bias(), fuse_scale_r=bias(),
-    )
-
-
-def named_deam(prefix: str, p: DeamParams) -> list[tuple[str, Tensor]]:
-    """Canonical (name, tensor) pairs for one stage, in draw order."""
-    return [
-        (f"{prefix}.norm_l.gain", p.norm_l_gain),
-        (f"{prefix}.norm_l.shift", p.norm_l_shift),
-        (f"{prefix}.norm_r.gain", p.norm_r_gain),
-        (f"{prefix}.norm_r.shift", p.norm_r_shift),
-        (f"{prefix}.match_l.weight", p.match_l_w),
-        (f"{prefix}.match_l.bias", p.match_l_b),
-        (f"{prefix}.match_r.weight", p.match_r_w),
-        (f"{prefix}.match_r.bias", p.match_r_b),
-        (f"{prefix}.value_l.weight", p.value_l_w),
-        (f"{prefix}.value_l.bias", p.value_l_b),
-        (f"{prefix}.value_r.weight", p.value_r_w),
-        (f"{prefix}.value_r.bias", p.value_r_b),
-        (f"{prefix}.fuse_scale_l", p.fuse_scale_l),
-        (f"{prefix}.fuse_scale_r", p.fuse_scale_r),
-    ]
-
-
-def deam_from(lookup, prefix: str) -> DeamParams:
-    """Rebuild stage parameters from a name -> Tensor lookup callable."""
-    return DeamParams(
-        norm_l_gain=lookup(f"{prefix}.norm_l.gain"),
-        norm_l_shift=lookup(f"{prefix}.norm_l.shift"),
-        norm_r_gain=lookup(f"{prefix}.norm_r.gain"),
-        norm_r_shift=lookup(f"{prefix}.norm_r.shift"),
-        match_l_w=lookup(f"{prefix}.match_l.weight"),
-        match_l_b=lookup(f"{prefix}.match_l.bias"),
-        match_r_w=lookup(f"{prefix}.match_r.weight"),
-        match_r_b=lookup(f"{prefix}.match_r.bias"),
-        value_l_w=lookup(f"{prefix}.value_l.weight"),
-        value_l_b=lookup(f"{prefix}.value_l.bias"),
-        value_r_w=lookup(f"{prefix}.value_r.weight"),
-        value_r_b=lookup(f"{prefix}.value_r.bias"),
-        fuse_scale_l=lookup(f"{prefix}.fuse_scale_l"),
-        fuse_scale_r=lookup(f"{prefix}.fuse_scale_r"),
-    )
+    ``fuse_scale_l`` / ``fuse_scale_r`` are the per-channel mixing scales on
+    the transported features; both start at zero so a fresh stage passes
+    its inputs through unchanged.
+    """
+    rows = norm_rows("norm_l", c) + norm_rows("norm_r", c)
+    for name in ("match_l", "match_r", "value_l", "value_r"):
+        rows += conv_rows(name, _conv1x1(c))
+    return rows + [("fuse_scale_l", (1, c, 1, 1), 0.0), ("fuse_scale_r", (1, c, 1, 1), 0.0)]

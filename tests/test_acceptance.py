@@ -5,7 +5,6 @@ a failed assertion marks the criterion red.  Criterion 5 trains for 2000
 steps and takes several minutes; everything else finishes in seconds.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -72,7 +71,7 @@ def test_criterion_2_sinkhorn_oracle_agreement():
 
 def test_criterion_3_deam_identity_at_initialization():
     rng = np.random.default_rng(103)
-    params = ot.init_deam(16, rng)
+    params = md.init_params(ot.deam_layout(16), rng)
     x_l = Tensor(rng.normal(size=(2, 16, 6, 12)).astype(np.float32))
     x_r = Tensor(rng.normal(size=(2, 16, 6, 12)).astype(np.float32))
     f_l, f_r, _ = ot.deam_forward(x_l, x_r, params)
@@ -150,11 +149,12 @@ def test_criterion_7_shape_and_identity_laws():
     assert np.array_equal(reduced.left.data, bilinear_upsample(pair.left, 4).data)
     assert np.array_equal(reduced.right.data, bilinear_upsample(pair.right, 4).data)
 
-    block = bk.init_mscab(8, (LskaBranch(3, 3, 1),), np.random.default_rng(108))
+    branches = (LskaBranch(3, 3, 1),)
+    block = md.init_params(bk.mscab_layout(8, branches), np.random.default_rng(108))
     zero = tz.zeros((1, 8, 1, 1))
-    block = dataclasses.replace(block, attn_res_scale=zero, ffn_res_scale=zero)
+    block = {**block, "mscam.res_scale": zero, "sffn.res_scale": zero}
     x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
-    assert np.array_equal(bk.mscab_forward(x, block).data, x.data)
+    assert np.array_equal(bk.mscab_forward(x, block, branches).data, x.data)
     _report(7, "4x forward shape law, zeroed head == bilinear exactly, "
                "zero-scale block == identity exactly")
 

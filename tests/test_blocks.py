@@ -1,28 +1,20 @@
 """Block behavior: attention wiring, identity paths, receptive fields, and
 gradients of every block parameter."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from stereosr import blocks as bk
 from stereosr import tensor as tz
 from stereosr.blocks import LskaBranch
+from stereosr.model import init_params
 from stereosr.tensor import GradTape, Tensor
 
-
-def small_params(c=4, branches=(LskaBranch(3, 3, 1),), seed=0):
-    return bk.init_mscab(c, tuple(branches), np.random.default_rng(seed))
+ONE_BRANCH = (LskaBranch(3, 3, 1),)
 
 
-def params_to_list(p):
-    return [t for _, t in bk.named_mscab("blk", p)]
-
-
-def params_from_list(tensors, c, branches):
-    table = dict(zip([n for n, _ in bk.named_mscab("blk", small_params(c, branches))], tensors))
-    return bk.mscab_from(table.__getitem__, "blk", c, tuple(branches))
+def small_params(c=4, branches=ONE_BRANCH, seed=0):
+    return init_params(bk.mscab_layout(c, branches), np.random.default_rng(seed))
 
 
 class TestSca:
@@ -52,35 +44,28 @@ class TestSca:
 
 
 class TestMslska:
-    def _delta_branch(self, c, branch):
-        def delta(kh, kw):
-            k = np.zeros((c, 1, kh, kw), np.float32)
-            k[:, 0, kh // 2, kw // 2] = 1.0
-            return Tensor(k)
-
-        zero = tz.zeros((1, c, 1, 1))
-        kk, dk = branch.base_k, branch.dilated_k
-        return bk.LskaBranchParams(
-            branch=branch,
-            local_h_w=delta(1, kk), local_h_b=zero,
-            local_v_w=delta(kk, 1), local_v_b=zero,
-            dilated_h_w=delta(1, dk), dilated_h_b=zero,
-            dilated_v_w=delta(dk, 1), dilated_v_b=zero,
-        )
-
     def test_delta_kernels_square_the_input(self):
         c = 3
+        branches = (LskaBranch(3, 3, 2),)
+        p = {}
+        for name, shape, _ in bk.mscab_layout(c, branches):
+            if name.startswith("mscam.lska.0.") and name.endswith(".weight"):
+                k = np.zeros(shape, np.float32)
+                k[:, 0, shape[2] // 2, shape[3] // 2] = 1.0
+                p[name] = Tensor(k)
+            else:
+                p[name] = tz.zeros(shape)
+        p["mscam.lska.fuse.weight"] = Tensor(np.eye(c, dtype=np.float32).reshape(c, c, 1, 1))
         y = tz.tensor(np.random.default_rng(1).normal(size=(1, c, 6, 6)))
-        branch = self._delta_branch(c, LskaBranch(3, 3, 2))
-        eye = Tensor(np.eye(c, dtype=np.float32).reshape(c, c, 1, 1))
-        out = bk.mslska(y, (branch,), eye, tz.zeros((1, c, 1, 1)))
+        out = bk.mslska(y, p, branches)
         np.testing.assert_allclose(out.data, y.data * y.data, atol=1e-6)
 
     def test_zero_fuse_annihilates(self):
         c = 4
         p = small_params(c)
+        p["mscam.lska.fuse.weight"] = tz.zeros((c, c, 1, 1))
         y = tz.tensor(np.random.default_rng(2).normal(size=(1, c, 5, 5)))
-        out = bk.mslska(y, p.lska, tz.zeros((c, c, 1, 1)), tz.zeros((1, c, 1, 1)))
+        out = bk.mslska(y, p, ONE_BRANCH)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_branch_support_is_effective_field(self):
@@ -88,10 +73,10 @@ class TestMslska:
         c = 1
         branch = LskaBranch(base_k=3, dilated_k=3, dilation=2)
         assert branch.effective_field == 7
-        params = bk.init_lska_branch(c, branch, np.random.default_rng(3))
+        params = small_params(c, (branch,), seed=3)
         impulse = np.zeros((1, c, 9, 9), np.float32)
         impulse[0, 0, 4, 4] = 1.0
-        out = bk._lska_branch(Tensor(impulse), params)
+        out = bk._lska_branch(Tensor(impulse), params, 0, branch)
         support = np.argwhere(np.abs(out.data[0, 0]) > 0)
         assert support.size > 0
         half = branch.effective_field // 2
@@ -100,9 +85,9 @@ class TestMslska:
 
     def test_default_branches_preserve_shape(self):
         c = 4
-        p = bk.init_mscab(c, bk.default_branches(), np.random.default_rng(4))
+        p = small_params(c, bk.default_branches(), seed=4)
         y = tz.tensor(np.random.default_rng(5).normal(size=(2, c, 7, 9)))
-        out = bk.mslska(y, p.lska, p.fuse_w, p.fuse_b)
+        out = bk.mslska(y, p, bk.default_branches())
         assert out.shape == y.shape
 
 
@@ -110,16 +95,16 @@ class TestMscabBlocks:
     def test_zero_residual_scale_is_identity(self):
         p = small_params()
         zero = tz.zeros((1, 4, 1, 1))
-        pz = dataclasses.replace(p, attn_res_scale=zero, ffn_res_scale=zero)
+        pz = {**p, "mscam.res_scale": zero, "sffn.res_scale": zero}
         x = tz.tensor(np.random.default_rng(6).normal(size=(1, 4, 5, 5)))
-        np.testing.assert_array_equal(bk.mscam(x, pz).data, x.data)
+        np.testing.assert_array_equal(bk.mscam(x, pz, ONE_BRANCH).data, x.data)
         np.testing.assert_array_equal(bk.sffn(x, pz).data, x.data)
-        np.testing.assert_array_equal(bk.mscab_forward(x, pz).data, x.data)
+        np.testing.assert_array_equal(bk.mscab_forward(x, pz, ONE_BRANCH).data, x.data)
 
     def test_shape_preserved(self):
-        p = bk.init_mscab(6, bk.default_branches(), np.random.default_rng(7))
+        p = small_params(6, bk.default_branches(), seed=7)
         x = tz.tensor(np.random.default_rng(8).normal(size=(2, 6, 8, 11)))
-        assert bk.mscab_forward(x, p).shape == x.shape
+        assert bk.mscab_forward(x, p, bk.default_branches()).shape == x.shape
 
     def test_sffn_zeros_propagate(self):
         p = small_params()
@@ -130,7 +115,8 @@ class TestMscabBlocks:
         p = small_params(seed=9)
         x = tz.tensor(np.random.default_rng(10).normal(size=(1, 4, 6, 6)))
         np.testing.assert_array_equal(
-            bk.mscab_forward(x, p).data, bk.sffn(bk.mscam(x, p), p).data
+            bk.mscab_forward(x, p, ONE_BRANCH).data,
+            bk.sffn(bk.mscam(x, p, ONE_BRANCH), p).data
         )
 
     def test_activation_free_op_audit(self):
@@ -139,37 +125,31 @@ class TestMscabBlocks:
         p = small_params(seed=11)
         x = tz.tensor(np.random.default_rng(12).normal(size=(1, 4, 5, 5)))
         with GradTape() as tape:
-            bk.mscab_forward(x, p)
+            bk.mscab_forward(x, p, ONE_BRANCH)
         names = {rec.name for rec in tape._records}
         assert names <= {"conv2d", "layer_norm", "global_avg_pool", "simple_gate", "mul", "add"}
 
     def test_mscam_gradcheck_all_params(self):
         c = 4
-        branches = (LskaBranch(3, 3, 1),)
-        p = small_params(c, branches, seed=13)
+        p = small_params(c, ONE_BRANCH, seed=13)
         x = tz.tensor(np.random.default_rng(14).normal(size=(1, c, 5, 5)))
-        tensors = params_to_list(p)
 
         def f(params):
-            pp = params_from_list(params, c, branches)
-            out = bk.mscam(x, pp)
+            out = bk.mscam(x, dict(zip(p, params)), ONE_BRANCH)
             return tz.mean_all(tz.mul(out, out))
 
-        assert tz.grad_check(f, tensors) < 1e-4
+        assert tz.grad_check(f, list(p.values())) < 1e-4
 
     def test_sffn_gradcheck_all_params(self):
         c = 4
-        branches = (LskaBranch(3, 3, 1),)
-        p = small_params(c, branches, seed=15)
+        p = small_params(c, ONE_BRANCH, seed=15)
         x = tz.tensor(np.random.default_rng(16).normal(size=(1, c, 4, 4)))
-        tensors = params_to_list(p)
 
         def f(params):
-            pp = params_from_list(params, c, branches)
-            out = bk.sffn(x, pp)
+            out = bk.sffn(x, dict(zip(p, params)))
             return tz.mean_all(tz.mul(out, out))
 
-        assert tz.grad_check(f, tensors) < 1e-4
+        assert tz.grad_check(f, list(p.values())) < 1e-4
 
 
 class TestLskaBranchType:

@@ -1,13 +1,17 @@
 """CLI surface: subcommands, config parsing, output formats, exit codes."""
 
+import numpy as np
 import pytest
 
 from stereosr import cli
 from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
-from stereosr.model import ModelConfig, init_model, save_weights
+from stereosr.model import ModelConfig, WeightStore, init_model, save_weights
+from stereosr.tensor import Tensor
 from _synthetic import make_hr_pair
+
+TINY = ModelConfig(n_blocks=1, width=8, scale=4, lska_branches=(LskaBranch(3, 3, 1),))
 
 
 @pytest.fixture
@@ -139,6 +143,114 @@ class TestInferCommand:
             "--weights", str(bad), "--out-dir", str(tmp_path / "o"),
         ])
         assert code == cli.EXIT_IO
+
+
+def _without(store, drop):
+    return WeightStore(store.config, [(n, t) for n, t in store.items() if n != drop])
+
+
+def _with_extra(store):
+    return WeightStore(store.config, [*store.items(), ("extra.weight", Tensor(np.zeros((1, 1, 1, 1))))])
+
+
+def _misshapen(store):
+    return WeightStore(store.config, [
+        (n, Tensor(np.zeros((1, 13, 1, 1))) if n == "head.bias" else t) for n, t in store.items()
+    ])
+
+
+def _even_kernel(blob):
+    # first branch triple follows magic, version and four config words
+    return blob[:24] + (4).to_bytes(4, "little") + blob[28:]
+
+
+def _bad_utf8_name(blob):
+    return blob.replace(b"intro.weight", b"\xffntro.weight", 1)
+
+
+class TestInferWeightFaults:
+    @pytest.mark.parametrize("mutate_store, mutate_blob", [
+        (lambda s: _without(s, "head.bias"), None),
+        (_with_extra, None),
+        (_misshapen, None),
+        (None, _even_kernel),
+        (None, _bad_utf8_name),
+    ], ids=["missing_tensor", "extra_tensor", "misshapen_tensor", "even_kernel", "non_utf8_name"])
+    def test_bad_weight_file_is_io_error(self, png_pair, tmp_path, capsys,
+                                         mutate_store, mutate_blob):
+        left, right = png_pair
+        store = init_model(TINY, seed=0)
+        weights = tmp_path / "model.msin"
+        save_weights(mutate_store(store) if mutate_store else store, weights)
+        if mutate_blob:
+            weights.write_bytes(mutate_blob(weights.read_bytes()))
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_IO
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def uneven_pair(tmp_path):
+    rng = np.random.default_rng(0)
+    paths = []
+    for name, width in (("left.png", 12), ("right.png", 16)):
+        path = tmp_path / name
+        save_png(ImageBuffer.from_tensor(Tensor(rng.uniform(size=(1, 3, 8, width)))), path)
+        paths.append(path)
+    return paths
+
+
+class TestMismatchedViews:
+    def test_infer_is_usage_error(self, uneven_pair, tmp_path, capsys):
+        left, right = uneven_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "8x12" in capsys.readouterr().err
+
+    def test_overfit_is_usage_error(self, uneven_pair, tmp_path, capsys):
+        left, right = uneven_pair
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+        out = tmp_path / "fit.msin"
+        code = cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "1", "--out", str(out),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "8x16" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ["sinkhorn-demo", "--iters", "0"],
+        ["sinkhorn-demo", "--width", "0"],
+        ["sinkhorn-demo", "--width", "-2"],
+        ["sinkhorn-demo", "--width", "two"],
+        ["overfit", "--left", "l.png", "--right", "r.png", "--config", "m.cfg",
+         "--steps", "-3", "--out", "fit.msin"],
+        ["gradcheck", "--seed", "-1"],
+    ], ids=["iters_0", "width_0", "width_negative", "width_not_integer", "steps_negative",
+            "seed_negative"])
+    def test_out_of_range_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: argument --")
+        assert not (tmp_path / "fit.msin").exists()
+
+    def test_smallest_counts_accepted(self, capsys):
+        assert cli.main(["sinkhorn-demo", "--width", "1", "--iters", "1"]) == 0
 
 
 class TestOverfitCommand:

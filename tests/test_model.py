@@ -89,6 +89,32 @@ class TestInitModel:
         )
 
 
+class TestInitOracle:
+    """The seeded init, redrawn without the layout tables: walking the store
+    in order, ``.weight`` tensors are uniform(-k, k) with k =
+    1/sqrt(prod(shape[1:])) from one generator, norm gains and residual
+    scales are one, and everything else is zero."""
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(n_blocks=3, width=8, share_view_weights=False),
+        ModelConfig(n_blocks=3, width=8, single_interaction=True),
+    ], ids=["shared", "unshared", "single_interaction"])
+    def test_store_matches_name_rule(self, cfg):
+        store = md.init_model(cfg, seed=21)
+        rng = np.random.default_rng(21)
+        for name, t in store.items():
+            if name.endswith(".weight"):
+                k = 1.0 / np.sqrt(np.prod(t.shape[1:]))
+                want = rng.uniform(-k, k, size=t.shape).astype(np.float32)
+            elif name.endswith(".gain") or name.endswith(".res_scale"):
+                want = np.ones(t.shape, np.float32)
+            else:
+                want = np.zeros(t.shape, np.float32)
+            assert t.dtype == np.float32, name
+            assert np.array_equal(t.data, want), name
+
+
 class TestForward:
     def test_output_shape_law(self):
         cfg = tiny_config(scale=4)
@@ -307,6 +333,17 @@ class TestSerialization:
         blob[flags_offset:flags_offset + 4] = struct.pack("<I", 0xF0)
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFormatError, match="flag"):
+            md.load_weights(path)
+
+    def test_block_count_beyond_file_fails_at_first_missing_tensor(self, tmp_path):
+        # a header claiming more blocks than the file holds is rejected at
+        # the first tensor the file lacks
+        path = tmp_path / "weights.msin"
+        md.save_weights(self._store(), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 2**16)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError, match="missing tensor 'block.2.mscam.norm.gain'"):
             md.load_weights(path)
 
     def test_store_rejects_duplicate_add(self):

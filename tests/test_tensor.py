@@ -43,7 +43,7 @@ class TestTensorType:
         assert t.dtype == np.float32
 
     def test_item_requires_scalar(self):
-        assert tz.scalar(2.5).item() == pytest.approx(2.5)
+        assert tz.full((1, 1, 1, 1), 2.5).item() == pytest.approx(2.5)
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 1, 2))).item()
 
@@ -80,7 +80,6 @@ class TestConv2d:
         ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4),
         ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2)),
         ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(3, 1)),
-        ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3, groups=2),
     ])
     def test_all_paths_match_oracle(self, spec):
         rng = np.random.default_rng(2)
@@ -105,8 +104,13 @@ class TestConv2d:
             ConvSpec(out_ch=1, in_ch=1, kh=3, kw=3, dilation=(1, 0))
 
     def test_spec_rejects_bad_groups(self):
+        # only full (groups=1) and depthwise (groups = in_ch = out_ch) remain
         with pytest.raises(ShapeError):
             ConvSpec(out_ch=4, in_ch=3, kh=1, kw=1, groups=2)
+        with pytest.raises(ShapeError, match="depthwise"):
+            ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3, groups=2)
+        with pytest.raises(ShapeError, match="depthwise"):
+            ConvSpec(out_ch=8, in_ch=4, kh=3, kw=3, groups=4)
 
     def test_separable_equals_outer_product_kernel(self):
         # depthwise 1xk then kx1 == depthwise kxk with the outer-product kernel
@@ -197,10 +201,16 @@ class TestPixelShuffle:
         out = tz.pixel_shuffle(x, 2)
         np.testing.assert_array_equal(out.data, [[[[1.0, 2.0], [3.0, 4.0]]]])
 
-    def test_round_trip(self):
-        x = tz.tensor(np.random.default_rng(7).normal(size=(2, 8, 3, 5)))
-        back = tz.pixel_unshuffle(tz.pixel_shuffle(x, 2), 2)
-        np.testing.assert_array_equal(back.data, x.data)
+    def test_index_formula_on_larger_shapes(self):
+        # out[n, c, h*r + i, w*r + j] = in[n, c*r*r + i*r + j, h, w]
+        rng = np.random.default_rng(7)
+        for shape, r in (((2, 8, 3, 5), 2), ((1, 9, 4, 4), 3)):
+            x = rng.normal(size=shape).astype(np.float32)
+            out = tz.pixel_shuffle(Tensor(x), r).data
+            n, c, h, w = shape
+            assert out.shape == (n, c // (r * r), h * r, w * r)
+            for nn, cc, hh, ww, i, j in np.ndindex(n, c // (r * r), h, w, r, r):
+                assert out[nn, cc, hh * r + i, ww * r + j] == x[nn, cc * r * r + i * r + j, hh, ww]
 
     def test_value_bijection(self):
         x = tz.tensor(np.random.default_rng(8).normal(size=(1, 9, 4, 4)))

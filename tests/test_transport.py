@@ -1,13 +1,12 @@
 """Optimal-transport attention: marginal guarantees, oracle agreement,
 fusion semantics, and differentiability."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from stereosr import tensor as tz
 from stereosr import transport as ot
+from stereosr.model import init_params
 from stereosr.tensor import Tensor
 from stereosr.transport import CostVolume, SinkhornConfig, TransportPlan
 
@@ -163,7 +162,7 @@ class TestSinkhornOracle:
 
 class TestDeamForward:
     def _params(self, c, seed=0):
-        return ot.init_deam(c, np.random.default_rng(seed))
+        return init_params(ot.deam_layout(c), np.random.default_rng(seed))
 
     def test_identity_at_initialization(self):
         rng = np.random.default_rng(14)
@@ -178,14 +177,11 @@ class TestDeamForward:
     def test_symmetric_views_fuse_symmetrically(self):
         rng = np.random.default_rng(15)
         p = self._params(4, seed=16)
-        p = dataclasses.replace(
-            p,
-            norm_r_gain=p.norm_l_gain, norm_r_shift=p.norm_l_shift,
-            match_r_w=p.match_l_w, match_r_b=p.match_l_b,
-            value_r_w=p.value_l_w, value_r_b=p.value_l_b,
-            fuse_scale_l=tz.full((1, 4, 1, 1), 0.5),
-            fuse_scale_r=tz.full((1, 4, 1, 1), 0.5),
-        )
+        p = {
+            name: p[name.replace("_r", "_l")] if "_r" in name else t
+            for name, t in p.items()
+        }
+        p["fuse_scale_l"] = p["fuse_scale_r"] = tz.full((1, 4, 1, 1), 0.5)
         x = Tensor(rng.normal(size=(1, 4, 3, 6)).astype(np.float32))
         f_l, f_r, _ = ot.deam_forward(x, x, p, SinkhornConfig(iters=400))
         np.testing.assert_allclose(f_l.data, f_r.data, atol=1e-5)
@@ -207,24 +203,17 @@ class TestDeamForward:
         c = 4
         p = self._params(c, seed=18)
         # nonzero fusion scales so gradients reach every projection
-        p = dataclasses.replace(
-            p,
-            fuse_scale_l=tz.full((1, c, 1, 1), 0.3),
-            fuse_scale_r=tz.full((1, c, 1, 1), -0.2),
-        )
+        p["fuse_scale_l"] = tz.full((1, c, 1, 1), 0.3)
+        p["fuse_scale_r"] = tz.full((1, c, 1, 1), -0.2)
         rng = np.random.default_rng(19)
         x_l = Tensor(rng.normal(size=(1, c, 3, 4)).astype(np.float32))
         x_r = Tensor(rng.normal(size=(1, c, 3, 4)).astype(np.float32))
-        names = [n for n, _ in ot.named_deam("s", p)]
-        tensors = [t for _, t in ot.named_deam("s", p)]
 
         def f(params):
-            table = dict(zip(names, params))
-            pp = ot.deam_from(table.__getitem__, "s")
-            f_l, f_r, _ = ot.deam_forward(x_l, x_r, pp, SinkhornConfig(iters=10))
+            f_l, f_r, _ = ot.deam_forward(x_l, x_r, dict(zip(p, params)), SinkhornConfig(iters=10))
             return tz.add(tz.mean_all(tz.mul(f_l, f_l)), tz.mean_all(tz.mul(f_r, f_r)))
 
-        assert tz.grad_check(f, tensors) < 1e-4
+        assert tz.grad_check(f, list(p.values())) < 1e-4
 
     def test_shape_mismatch_rejected(self):
         p = self._params(4)
