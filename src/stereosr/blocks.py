@@ -19,6 +19,10 @@ DEFAULT_LSKA_BRANCHES = (
     (5, 11, 3),
 )
 
+# Largest effective field a branch may have.  It sets the zero padding of
+# the dilated convolutions, so a weight file must not choose it freely.
+MAX_EFFECTIVE_FIELD = 127
+
 
 @dataclass(frozen=True)
 class LskaBranch:
@@ -26,7 +30,8 @@ class LskaBranch:
 
     Four depthwise convolutions: 1 x base_k, base_k x 1, then a dilated
     1 x dilated_k, dilated_k x 1 pair.  The effective receptive field is
-    base_k + (dilated_k - 1) * dilation, kept odd by requiring odd kernels.
+    base_k + (dilated_k - 1) * dilation, kept odd by requiring odd kernels
+    and at most MAX_EFFECTIVE_FIELD.
     """
 
     base_k: int
@@ -40,6 +45,10 @@ class LskaBranch:
             raise ValueError(f"dilated_k must be odd and positive, got {self.dilated_k}")
         if self.dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
+        if self.effective_field > MAX_EFFECTIVE_FIELD:
+            raise ValueError(
+                f"effective field {self.effective_field} exceeds {MAX_EFFECTIVE_FIELD}"
+            )
 
     @property
     def effective_field(self) -> int:

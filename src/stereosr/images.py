@@ -1,8 +1,9 @@
 """8-bit RGB image buffers, a minimal PNG codec, and bicubic downsampling.
 
 The PNG support is deliberately narrow: 8-bit grayscale or RGB, not
-interlaced.  Everything else (palette, alpha, 16-bit, bad checksums) is
-rejected with a diagnostic rather than guessed at.
+interlaced, at most MAX_PIXELS pixels.  Everything else (palette, alpha,
+16-bit, bad checksums, oversized images) is rejected with a diagnostic
+rather than guessed at.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .tensor import ShapeError, Tensor
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 _COLOR_TYPE_NAMES = {0: "grayscale", 2: "rgb", 3: "palette", 4: "grayscale+alpha", 6: "rgba"}
+
+# Largest width * height decoded; the inflated stream is capped at the size
+# the header implies, so neither can grow past what this allows.
+MAX_PIXELS = 1 << 24
 
 
 class PngError(ValueError):
@@ -166,13 +171,23 @@ def decode_png(blob: bytes) -> ImageBuffer:
         raise PngError("nonstandard compression or filter method")
     if interlace != 0:
         raise PngError("interlaced PNGs are not handled")
+    if width == 0 or height == 0 or width * height > MAX_PIXELS:
+        raise PngError(
+            f"image size {width}x{height} outside the supported 1 to {MAX_PIXELS} pixels"
+        )
     if not idat:
         raise PngError("no IDAT data")
+    channels = 1 if color_type == 0 else 3
+    expected = height * (width * channels + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), expected + 1)
     except zlib.error as e:
         raise PngError(f"corrupt IDAT stream: {e}") from e
-    channels = 1 if color_type == 0 else 3
+    if len(raw) > expected:
+        raise PngError(f"IDAT inflates past the {expected} bytes of {height} rows")
+    if not inflater.eof:
+        raise PngError("corrupt IDAT stream: incomplete or truncated stream")
     pixels = _unfilter(raw, width, height, channels)
     if channels == 1:
         pixels = np.repeat(pixels, 3, axis=2)
@@ -260,6 +275,4 @@ def bicubic_downsample(x: Tensor, r: int) -> Tensor:
     mh = _downsample_matrix(x.h, x.h // r)
     mw = _downsample_matrix(x.w, x.w // r)
     data = x.data.astype(np.float64)
-    out = np.einsum("nchw,oh->ncow", data, mh, optimize=True)
-    out = np.einsum("ncow,pw->ncop", out, mw, optimize=True)
-    return Tensor(out.astype(x.data.dtype))
+    return Tensor((mh @ data @ mw.T).astype(x.data.dtype))

@@ -30,20 +30,28 @@ def psnr(a: Tensor, b: Tensor) -> float:
     return min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Normalized 2-D Gaussian weights."""
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    # normalized 1-D Gaussian weights
     half = (size - 1) / 2.0
     coords = np.arange(size, dtype=np.float64) - half
     g = np.exp(-np.square(coords) / (2.0 * sigma * sigma))
-    window = np.outer(g, g)
-    return window / window.sum()
+    return g / g.sum()
 
 
-def _windowed_mean(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # valid-mode weighted local mean over the trailing two axes
-    k = window.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return np.einsum("nchwkl,kl->nchw", win, window, optimize=True)
+def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """Normalized 2-D Gaussian weights, the outer product of the normalized
+    1-D Gaussian with itself."""
+    g = _gaussian_taps(size, sigma)
+    return np.outer(g, g)
+
+
+def _windowed_mean(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # valid-mode local mean over the trailing two axes under the window
+    # outer(g, g), as a pass along the rows and then one along the columns
+    k = g.size
+    h, w = x.shape[2] - k + 1, x.shape[3] - k + 1
+    rows = sum(g[i] * x[:, :, i:i + h, :] for i in range(k))
+    return sum(g[j] * rows[:, :, :, j:j + w] for j in range(k))
 
 
 def ssim(a: Tensor, b: Tensor) -> float:
@@ -55,14 +63,14 @@ def ssim(a: Tensor, b: Tensor) -> float:
         raise ShapeError(
             f"image {a.h}x{a.w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    window = gaussian_window()
+    g = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     x = a.data.astype(np.float64)
     y = b.data.astype(np.float64)
-    mu_x = _windowed_mean(x, window)
-    mu_y = _windowed_mean(y, window)
-    sigma_x = _windowed_mean(x * x, window) - mu_x * mu_x
-    sigma_y = _windowed_mean(y * y, window) - mu_y * mu_y
-    sigma_xy = _windowed_mean(x * y, window) - mu_x * mu_y
+    mu_x = _windowed_mean(x, g)
+    mu_y = _windowed_mean(y, g)
+    sigma_x = _windowed_mean(x * x, g) - mu_x * mu_x
+    sigma_y = _windowed_mean(y * y, g) - mu_y * mu_y
+    sigma_xy = _windowed_mean(x * y, g) - mu_x * mu_y
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2
     score = ((2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)) / (

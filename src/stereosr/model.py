@@ -22,6 +22,10 @@ _FLAG_SINGLE_INTERACTION = 2
 _FLAG_GLOBAL_RESIDUAL = 4
 _KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBAL_RESIDUAL
 
+# Sinkhorn iterations per cross-view stage; a weight or config file cannot
+# ask for more, so a small file cannot cost unbounded work.
+MAX_SINKHORN_ITERS = 1000
+
 
 class WeightFormatError(ValueError):
     """A weight file failed validation."""
@@ -54,8 +58,10 @@ class ModelConfig:
             raise ValueError(f"scale must be 2 or 4, got {self.scale}")
         if not self.lska_branches:
             raise ValueError("at least one LSKA branch is required")
-        if self.sinkhorn_iters < 1:
-            raise ValueError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
+        if not 1 <= self.sinkhorn_iters <= MAX_SINKHORN_ITERS:
+            raise ValueError(
+                f"sinkhorn_iters must be in [1, {MAX_SINKHORN_ITERS}], got {self.sinkhorn_iters}"
+            )
 
     def sinkhorn_config(self) -> SinkhornConfig:
         return SinkhornConfig(iters=self.sinkhorn_iters)

@@ -381,19 +381,6 @@ class ConvSpec:
         return ((self.kh - 1) * self.dilation[0] // 2, (self.kw - 1) * self.dilation[1] // 2)
 
 
-_einsum_paths: dict = {}
-
-
-def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
-    # np.einsum with the contraction path cached per (subscripts, shapes)
-    key = (subscripts, tuple(op.shape for op in ops))
-    path = _einsum_paths.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *ops, optimize="optimal")[0]
-        _einsum_paths[key] = path
-    return np.einsum(subscripts, *ops, optimize=path)
-
-
 def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
@@ -403,64 +390,43 @@ def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _dilated_windows(padded: np.ndarray, kh: int, kw: int, dh: int, dw: int) -> np.ndarray:
-    # view of shape (n, c, h_out, w_out, kh, kw); no copy
-    eh, ew = (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    win = np.lib.stride_tricks.sliding_window_view(padded, (eh, ew), axis=(2, 3))
-    return win[..., ::dh, ::dw]
-
-
-def _conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _taps(x: np.ndarray, spec: ConvSpec) -> list[np.ndarray]:
+    """One (n, c, h, w) view of the zero-padded input per kernel tap, in
+    row-major tap order: the tap (i, j) view holds, at each output site,
+    the input value that kernel entry (i, j) multiplies."""
+    n, c, h, w = x.shape
+    dh, dw = spec.dilation
     padded = _pad_spatial(x, *spec.padding)
-    return _dilated_windows(padded, spec.kh, spec.kw, *spec.dilation)
+    return [padded[:, :, i * dh:i * dh + h, j * dw:j * dw + w]
+            for i in range(spec.kh) for j in range(spec.kw)]
 
 
-def _to_batch_major(flat: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    # (out_ch, n*h*w) -> (n, out_ch, h, w); free reshape when n == 1
-    if n == 1:
-        return flat.reshape(1, -1, h, w)
-    return flat.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
-
-
-def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    # (in_ch * kh * kw, n * h * w), duplicating the receptive fields
-    n, cin, h, wd = x.shape
-    win = _conv_windows(x, spec)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * spec.kh * spec.kw, n * h * wd)
+def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    # (n, in_ch * kh * kw, h * w), rows ordered like a flattened kernel
+    n, c, h, w = x.shape
+    return np.stack(_taps(x, spec), axis=2).reshape(n, c * spec.kh * spec.kw, h * w)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     n, cin, h, wd = x.shape
-    dh, dw_ = spec.dilation
-    if spec.groups == cin and spec.out_ch == cin:
-        # depthwise: accumulate shifted slices, one per kernel tap
-        padded = _pad_spatial(x, *spec.padding)
+    if spec.groups > 1:
+        # depthwise: accumulate the taps, each scaled by its kernel column
+        columns = w.reshape(cin, -1).T.reshape(-1, 1, cin, 1, 1)
         out = np.zeros((n, cin, h, wd), dtype=x.dtype)
-        for i in range(spec.kh):
-            for j in range(spec.kw):
-                out += padded[:, :, i * dh:i * dh + h, j * dw_:j * dw_ + wd] \
-                    * w[:, 0, i, j].reshape(1, cin, 1, 1)
+        for tap, column in zip(_taps(x, spec), columns):
+            out += tap * column
         return out
-    if spec.kh == 1 and spec.kw == 1:
-        if n == 1:
-            flat = w.reshape(spec.out_ch, cin) @ x.reshape(cin, h * wd)
-            return flat.reshape(1, spec.out_ch, h, wd)
-        return _einsum("oc,nchw->nohw", w.reshape(spec.out_ch, cin), x)
-    flat = w.reshape(spec.out_ch, -1) @ _im2col(x, spec)
-    return _to_batch_major(flat, n, h, wd)
+    flat = np.matmul(w.reshape(spec.out_ch, -1), _columns(x, spec))
+    return flat.reshape(n, spec.out_ch, h, wd)
 
 
 def _conv_grad_w(x: np.ndarray, gout: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    n, cin, h, wd = x.shape
-    if spec.groups == cin and spec.out_ch == cin:
-        win = _conv_windows(x, spec)
-        return _einsum("nchwkl,nchw->ckl", win, gout)[:, None]
-    gm = gout.reshape(spec.out_ch, -1) if n == 1 \
-        else gout.transpose(1, 0, 2, 3).reshape(spec.out_ch, -1)
-    if spec.kh == 1 and spec.kw == 1:
-        xm = x.reshape(cin, -1) if n == 1 else x.transpose(1, 0, 2, 3).reshape(cin, -1)
-        return (gm @ xm.T).reshape(spec.weight_shape)
-    return (gm @ _im2col(x, spec).T).reshape(spec.weight_shape)
+    if spec.groups > 1:
+        per_tap = [(tap * gout).sum(axis=(0, 2, 3)) for tap in _taps(x, spec)]
+        return np.stack(per_tap, axis=1).reshape(spec.weight_shape)
+    n = x.shape[0]
+    flat = np.tensordot(gout.reshape(n, spec.out_ch, -1), _columns(x, spec), axes=([0, 2], [0, 2]))
+    return flat.reshape(spec.weight_shape)
 
 
 def _conv_grad_x(gout: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:

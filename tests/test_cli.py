@@ -1,5 +1,8 @@
 """CLI surface: subcommands, config parsing, output formats, exit codes."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,22 @@ class TestConfigFile:
         with pytest.raises(cli.UsageError, match="branch"):
             cli.parse_config_file(path)
 
+    @pytest.mark.parametrize("over, at_bound", [
+        ("sinkhorn_iters = 1001", "sinkhorn_iters = 1000"),
+        ("lska_branches = 3:3:63", "lska_branches = 3:3:62"),   # fields 129 and 127
+    ], ids=["sinkhorn_iters", "effective_field"])
+    def test_resource_bound_is_usage_error(self, tmp_path, capsys, over, at_bound):
+        path = tmp_path / "model.cfg"
+        path.write_text(at_bound + "\n")
+        cli.parse_config_file(path)
+        path.write_text(over + "\n")
+        code = cli.main([
+            "overfit", "--left", "l.png", "--right", "r.png", "--config", str(path),
+            "--steps", "1", "--out", str(tmp_path / "fit.msin"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_identical_images(self, png_pair, capsys):
@@ -107,6 +126,10 @@ class TestSinkhornDemoCommand:
         assert values["max col-sum violation"] < 1e-5
 
 
+def _chunk(ctype, data):
+    return struct.pack(">I", len(data)) + ctype + data + struct.pack(">I", zlib.crc32(ctype + data))
+
+
 class TestInferCommand:
     def test_writes_upscaled_pair(self, png_pair, tmp_path, capsys):
         left, right = png_pair
@@ -134,6 +157,21 @@ class TestInferCommand:
         ])
         assert code == cli.EXIT_USAGE
 
+    def test_oversized_png_is_io_error(self, tmp_path, capsys):
+        # 4097 x 4097 pixels is over the decoder's limit; no pixel data needed
+        ihdr = struct.pack(">IIBBBBB", 4097, 4097, 8, 2, 0, 0, 0)
+        big = tmp_path / "big.png"
+        big.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", b"x")
+                        + _chunk(b"IEND", b""))
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        code = cli.main([
+            "infer", "--left", str(big), "--right", str(big),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_IO
+        assert "image size" in capsys.readouterr().err
+
     def test_corrupt_weights_is_io_error(self, png_pair, tmp_path):
         left, right = png_pair
         bad = tmp_path / "bad.msin"
@@ -159,9 +197,11 @@ def _misshapen(store):
     ])
 
 
-def _even_kernel(blob):
-    # first branch triple follows magic, version and four config words
-    return blob[:24] + (4).to_bytes(4, "little") + blob[28:]
+def _set_word(offset, value):
+    # overwrite one u32 of the header: the first branch triple follows magic,
+    # version and four config words (offset 24); TINY's sinkhorn_iters
+    # follows its one triple (offset 36)
+    return lambda blob: blob[:offset] + value.to_bytes(4, "little") + blob[offset + 4:]
 
 
 def _bad_utf8_name(blob):
@@ -173,9 +213,12 @@ class TestInferWeightFaults:
         (lambda s: _without(s, "head.bias"), None),
         (_with_extra, None),
         (_misshapen, None),
-        (None, _even_kernel),
+        (None, _set_word(24, 4)),
         (None, _bad_utf8_name),
-    ], ids=["missing_tensor", "extra_tensor", "misshapen_tensor", "even_kernel", "non_utf8_name"])
+        (None, _set_word(32, 2**30)),
+        (None, _set_word(36, 2**31)),
+    ], ids=["missing_tensor", "extra_tensor", "misshapen_tensor", "even_kernel", "non_utf8_name",
+            "huge_effective_field", "huge_sinkhorn_iters"])
     def test_bad_weight_file_is_io_error(self, png_pair, tmp_path, capsys,
                                          mutate_store, mutate_blob):
         left, right = png_pair

@@ -1,6 +1,7 @@
 """PNG codec edge cases, buffer/tensor conversion, bicubic downsampling."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,9 +20,12 @@ def chunk(ctype, data):
     )
 
 
-def build_png(width, height, bit_depth, color_type, raw_rows, interlace=0):
+def build_png(width, height, bit_depth, color_type, raw_rows, interlace=0, stream=None):
+    """PNG with one IDAT chunk holding ``stream``, by default raw_rows compressed."""
     ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, interlace)
-    return SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(raw_rows)) + chunk(b"IEND", b"")
+    if stream is None:
+        stream = zlib.compress(raw_rows)
+    return SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", stream) + chunk(b"IEND", b"")
 
 
 def apply_filter(ftype, row, prev, bpp):
@@ -149,6 +153,30 @@ class TestPngValidation:
             rows += bytes(6)
         with pytest.raises(PngError, match="filter type"):
             im.decode_png(build_png(2, 2, 8, 2, bytes(rows)))
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (4097, 4096)])
+    def test_size_outside_limits_rejected(self, width, height):
+        with pytest.raises(PngError, match="image size"):
+            im.decode_png(build_png(width, height, 8, 2, b""))
+
+    def test_truncated_stream_rejected(self):
+        stream = zlib.compress(self._rgb_rows(2, 2))[:-3]
+        with pytest.raises(PngError, match="truncated"):
+            im.decode_png(build_png(2, 2, 8, 2, None, stream=stream))
+
+    def test_inflation_bomb_rejected_in_bounded_memory(self):
+        # an 8x8 RGB header over 64 MiB of zeros compressed to about 65 KB
+        packer = zlib.compressobj(9)
+        stream = b"".join(packer.compress(bytes(1 << 20)) for _ in range(64)) + packer.flush()
+        blob = build_png(8, 8, 8, 2, None, stream=stream)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PngError, match="inflates past"):
+                im.decode_png(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -33,6 +33,44 @@ def conv2d_oracle(x, w, b, spec):
     return out
 
 
+def conv2d_adjoint_oracle(x, w, g, spec):
+    """Input, weight and bias cotangents of conv2d_oracle for the output
+    cotangent g: the same direct summation, each product sent back to both
+    of its factors."""
+    n, cin, h, wd = x.shape
+    dx, dw = np.zeros(x.shape), np.zeros(w.shape)
+    ph, pw = spec.padding
+    dh, dwl = spec.dilation
+    cpg = spec.in_ch // spec.groups
+    opg = spec.out_ch // spec.groups
+    for nn in range(n):
+        for o in range(spec.out_ch):
+            group = o // opg
+            for yy in range(h):
+                for xx in range(wd):
+                    for ci in range(cpg):
+                        for ky in range(spec.kh):
+                            for kx in range(spec.kw):
+                                sy = yy + ky * dh - ph
+                                sx = xx + kx * dwl - pw
+                                if 0 <= sy < h and 0 <= sx < wd:
+                                    c = group * cpg + ci
+                                    dx[nn, c, sy, sx] += g[nn, o, yy, xx] * w[o, ci, ky, kx]
+                                    dw[o, ci, ky, kx] += g[nn, o, yy, xx] * x[nn, c, sy, sx]
+    return dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+
+
+# one spec per convolution path: full 3x3, 1x1, depthwise 3x3, dilated
+# depthwise 1x5 and 5x1
+ORACLE_SPECS = [
+    ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3),
+    ConvSpec(out_ch=5, in_ch=4, kh=1, kw=1),
+    ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4),
+    ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2)),
+    ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(3, 1)),
+]
+
+
 class TestTensorType:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -74,22 +112,27 @@ class TestConv2d:
         want = conv2d_oracle(x, w, b, spec)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("spec", [
-        ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3),
-        ConvSpec(out_ch=5, in_ch=4, kh=1, kw=1),
-        ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4),
-        ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2)),
-        ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(3, 1)),
+    @pytest.mark.parametrize("spec, n", [
+        pytest.param(spec, n, id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
+        for n in (2, 1) for i, spec in enumerate(ORACLE_SPECS)
     ])
-    def test_all_paths_match_oracle(self, spec):
+    def test_all_paths_match_oracle(self, spec, n):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, spec.in_ch, 6, 7)).astype(np.float32)
+        x = rng.normal(size=(n, spec.in_ch, 6, 7)).astype(np.float32)
         w = rng.normal(size=spec.weight_shape).astype(np.float32)
         b = rng.normal(size=(1, spec.out_ch, 1, 1)).astype(np.float32)
-        got = tz.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
-        want = conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
-                             b.astype(np.float64), spec)
-        np.testing.assert_allclose(got, want, atol=1e-5)
+        g = rng.normal(size=(n, spec.out_ch, 6, 7)).astype(np.float32)
+        inputs = [Tensor(x), Tensor(w), Tensor(b)]
+        with GradTape() as tape:
+            out = tz.conv2d(inputs[0], spec, inputs[1], inputs[2])
+            loss = tz.sum_all(tz.mul(out, Tensor(g)))
+        got = tape.gradients(loss, inputs)
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        want = conv2d_oracle(x64, w64, b.astype(np.float64), spec)
+        np.testing.assert_allclose(out.data, want, atol=1e-5)
+        for name, grad, oracle in zip(("dx", "dW", "db"), got,
+                                      conv2d_adjoint_oracle(x64, w64, g.astype(np.float64), spec)):
+            np.testing.assert_allclose(grad, oracle, atol=1e-4, err_msg=name)
 
     def test_channel_mismatch_names_dimension(self):
         x = tz.zeros((1, 3, 4, 4))
