@@ -25,13 +25,23 @@ from .model import (
 from .blocks import LskaBranch
 from .tensor import ShapeError, Tensor
 from .train import TrainingDivergedError, format_log_line, overfit
-from .transport import CostVolume, NonConvergenceError, SinkhornConfig, sinkhorn, sinkhorn_oracle
+from .transport import (
+    MAX_SINKHORN_ITERS,
+    CostVolume,
+    NonConvergenceError,
+    SinkhornConfig,
+    sinkhorn,
+    sinkhorn_oracle,
+)
 from .verify import gradient_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# sinkhorn-demo prints the whole width x width plan and solves it twice
+MAX_DEMO_WIDTH = 1024
 
 
 class UsageError(ValueError):
@@ -211,12 +221,14 @@ def _cmd_metrics(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer in [minimum, maximum] (no upper end if None)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "integer"   # argparse names the type in its error message
@@ -241,21 +253,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--steps", type=_count(0), required=True)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_overfit)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every "
                                          "primitive and a tiny end-to-end model")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("sinkhorn-demo", help="print a random transport plan and "
                                              "its marginal violations")
-    p.add_argument("--width", type=_at_least(1), default=8)
-    p.add_argument("--iters", type=_at_least(1), default=10)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--width", type=_count(1, MAX_DEMO_WIDTH), default=8)
+    p.add_argument("--iters", type=_count(1, MAX_SINKHORN_ITERS), default=10)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=_cmd_sinkhorn_demo)
 
     p = sub.add_parser("metrics", help="PSNR and SSIM between two images")

@@ -85,13 +85,27 @@ def _iter_chunks(blob: bytes):
         pos = data_end + 4
 
 
-def _paeth(left: np.ndarray, up: np.ndarray, up_left: np.ndarray) -> np.ndarray:
-    p = left.astype(np.int32) + up.astype(np.int32) - up_left.astype(np.int32)
-    pa = np.abs(p - left)
-    pb = np.abs(p - up)
-    pc = np.abs(p - up_left)
-    out = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, up_left))
-    return out.astype(np.uint8)
+def _unfilter_predicted(row: bytes, prev: bytes, bpp: int, paeth: bool) -> bytearray:
+    """Undo an Average (3) or Paeth (4) row filter.
+
+    Each byte's predictor reads the already decoded byte ``bpp`` to its
+    left, so the row is a serial recurrence; it runs over Python ints,
+    which costs far less per byte than indexing numpy arrays.
+    """
+    line = bytearray(row)
+    for i in range(bpp):
+        # no left neighbour: Average predicts up // 2, Paeth predicts up
+        line[i] = (line[i] + (prev[i] if paeth else prev[i] >> 1)) & 0xFF
+    for i in range(bpp, len(line)):
+        a, b = line[i - bpp], prev[i]
+        if paeth:
+            c = prev[i - bpp]
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+            pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+        else:
+            pred = (a + b) >> 1
+        line[i] = (line[i] + pred) & 0xFF
+    return line
 
 
 def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
@@ -116,19 +130,11 @@ def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
         elif ftype == 2:
             line = (row + prev) % 256
         elif ftype in (3, 4):
-            line = np.zeros(stride, dtype=np.int32)
-            for x in range(width):
-                s = slice(x * bpp, (x + 1) * bpp)
-                left = line[s.start - bpp:s.start] if x else np.zeros(bpp, dtype=np.int32)
-                up = prev[s]
-                if ftype == 3:
-                    line[s] = (row[s] + (left + up) // 2) % 256
-                else:
-                    up_left = prev[s.start - bpp:s.start] if x else np.zeros(bpp, dtype=np.int32)
-                    pred = _paeth(
-                        left.astype(np.uint8), up.astype(np.uint8), up_left.astype(np.uint8)
-                    )
-                    line[s] = (row[s] + pred) % 256
+            prev_bytes = out[y - 1].tobytes() if y else bytes(stride)
+            line = np.frombuffer(
+                _unfilter_predicted(data[y, 1:].tobytes(), prev_bytes, bpp, ftype == 4),
+                dtype=np.uint8,
+            )
         else:
             raise PngError(f"unknown scanline filter type {ftype} on row {y}")
         out[y] = line.astype(np.uint8)

@@ -12,7 +12,7 @@ from . import blocks as _blocks
 from . import transport as _transport
 from .blocks import UNIFORM, LskaBranch, apply_conv, conv_rows, default_branches, mscab_layout
 from .tensor import ConvSpec, ShapeError, Tensor, add, bilinear_upsample, pixel_shuffle
-from .transport import SinkhornConfig, deam_layout
+from .transport import MAX_SINKHORN_ITERS, SinkhornConfig, deam_layout
 
 MAGIC = b"MSIN"
 FORMAT_VERSION = 1
@@ -21,11 +21,6 @@ _FLAG_SHARE_VIEW_WEIGHTS = 1
 _FLAG_SINGLE_INTERACTION = 2
 _FLAG_GLOBAL_RESIDUAL = 4
 _KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBAL_RESIDUAL
-
-# Sinkhorn iterations per cross-view stage; a weight or config file cannot
-# ask for more, so a small file cannot cost unbounded work.
-MAX_SINKHORN_ITERS = 1000
-
 
 class WeightFormatError(ValueError):
     """A weight file failed validation."""

@@ -144,14 +144,18 @@ class GradTape:
         """Cotangent of ``loss`` for each tensor in ``params``.
 
         ``loss`` must be a scalar produced through recorded primitives.
-        Parameters the loss does not depend on get zero cotangents.
+        Parameters the loss does not depend on get zero cotangents.  Any
+        tensor may be requested, including one computed on the tape; the
+        cotangents of other intermediates are dropped as soon as the
+        backward has used them.
         """
         if loss.numel != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
         # Forward sweep: which tensors can influence a requested parameter's
         # gradient (i.e. are parameters or are computed from one).
-        needed: set[int] = {id(p) for p in params}
+        requested = {id(p) for p in params}
+        needed = set(requested)
         for rec in self._records:
             if any(id(t) in needed for t in rec.inputs):
                 needed.update(id(o) for o in rec.outputs)
@@ -171,6 +175,12 @@ class GradTape:
             )
             wanted = tuple(id(t) in needed for t in rec.inputs)
             in_grads = rec.backward(out_grads, wanted)
+            # every reader of an output comes later on the tape, so its
+            # cotangent is spent once this record's backward has run
+            for o in rec.outputs:
+                if id(o) not in requested:
+                    grads.pop(id(o), None)
+                    owned.discard(id(o))
             for t, g, w in zip(rec.inputs, in_grads, wanted):
                 if not w or g is None:
                     continue

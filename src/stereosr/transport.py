@@ -5,9 +5,11 @@ scored against each other (scaled dot product), and the score matrix is
 normalized with log-domain Sinkhorn iterations instead of a softmax.  The
 result is an approximately doubly stochastic transport plan: rows sum to 1
 exactly after the final row update, columns converge toward 1 with more
-iterations.  Fusion mixes features across views through the plan, scaled by
-per-channel weights that start at zero so the module is the identity at
-initialization.
+iterations.  The whole normalization is one tape primitive that keeps only
+the per-iteration duals, so on a tape it holds two cost-sized volumes (the
+scores and the plan) however many iterations it runs.  Fusion mixes
+features across views through the plan, scaled by per-channel weights that
+start at zero so the module is the identity at initialization.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ from .tensor import (
     ConvSpec,
     ShapeError,
     Tensor,
+    _record,
     add,
     batched_matmul,
-    exp,
     layer_norm,
-    logsumexp,
     mul,
-    neg,
     transpose,
-    zeros,
 )
+
+# Sinkhorn iterations per normalization.  The forward keeps two duals per
+# iteration, so the cap bounds memory as well as work.
+MAX_SINKHORN_ITERS = 1000
 
 
 class NonConvergenceError(ArithmeticError):
@@ -74,8 +77,8 @@ class SinkhornConfig:
     iters: int = 10
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+        if not 1 <= self.iters <= MAX_SINKHORN_ITERS:
+            raise ValueError(f"iters must be in [1, {MAX_SINKHORN_ITERS}], got {self.iters}")
 
 
 def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
@@ -92,29 +95,88 @@ def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
     return CostVolume(values=scores)
 
 
+def _dual_update(scores: np.ndarray, dual: np.ndarray, axis: int, work: np.ndarray,
+                 log_w) -> np.ndarray:
+    """-log w - LSE_axis(scores + dual), max-shifted, computed in ``work``.
+
+    The numpy operations and their order are those of ``tensor.logsumexp``
+    followed by ``add`` and ``neg``, so the result is bit-identical to that
+    composition.
+    """
+    np.add(scores, dual, out=work)
+    top = work.max(axis=axis, keepdims=True)
+    work -= top
+    np.exp(work, out=work)
+    out = np.log(work.sum(axis=axis, keepdims=True))
+    out += top
+    out += log_w
+    return np.negative(out, out=out)
+
+
+def _pull_dual_update(scores: np.ndarray, dual_in: np.ndarray, dual_out: np.ndarray,
+                      cot: np.ndarray, axis: int, work: np.ndarray, grad: np.ndarray,
+                      log_w) -> np.ndarray:
+    """Backward of ``dual_out = -log w - LSE(scores + dual_in)``.
+
+    The update's softmax is exp(scores + dual_in + dual_out + log w).  Adds
+    the scores' share of the pullback of ``cot`` to ``grad`` and returns the
+    cotangent of ``dual_in``, which is broadcast along ``axis``.
+    """
+    np.add(scores, dual_in, out=work)
+    work += dual_out
+    work += log_w
+    np.exp(work, out=work)
+    work *= cot
+    grad -= work
+    return -work.sum(axis=axis, keepdims=True)
+
+
 def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
-    """Log-domain Sinkhorn normalization of a cost volume.
+    """Log-domain Sinkhorn normalization of a cost volume, as one primitive.
 
     Per row: duals start at zero, then for each iteration the column dual is
     refreshed from a column-wise logsumexp and the row dual from a row-wise
     one (columns first).  The returned plan exp(M + u + v + log w) has rows
     summing to 1 exactly (up to rounding) and columns converging toward 1.
-    All updates are overflow-safe for bounded scores, and gradients flow
-    through every unrolled iteration.
+    All updates are overflow-safe for bounded scores.
+
+    The forward reuses one work volume in place and keeps only the duals
+    u_0..u_K and v_1..v_K.  The backward is the gradient of the unrolled
+    iterations: it replays them in reverse, rebuilding each update's
+    softmax from the scores and the two duals it links.
     """
     scores = m.values
-    w = scores.shape[3]
-    if scores.shape[2] != w:
-        raise ShapeError(f"cost volume must be square per row, got {scores.shape}")
-    log_w = math.log(w)
-    dt = scores.dtype
-    u = zeros((scores.shape[0], scores.shape[1], w, 1), dtype=dt)
-    v = zeros((scores.shape[0], scores.shape[1], 1, w), dtype=dt)
+    s = scores.data
+    n, rows, h, w = s.shape
+    if h != w:
+        raise ShapeError(f"cost volume must be square per row, got {s.shape}")
+    log_w = s.dtype.type(math.log(w))
+    work = np.empty_like(s)
+    us = [np.zeros((n, rows, w, 1), dtype=s.dtype)]
+    vs = []
     for _ in range(cfg.iters):
         # log marginal is -log w on both sides: v = -log w - LSE_i(M + u)
-        v = neg(add(logsumexp(add(scores, u), axis=2), log_w))
-        u = neg(add(logsumexp(add(scores, v), axis=3), log_w))
-    plan = exp(add(add(add(scores, u), v), log_w))
+        vs.append(_dual_update(s, us[-1], 2, work, log_w))
+        us.append(_dual_update(s, vs[-1], 3, work, log_w))
+    np.add(s, us[-1], out=work)
+    work += vs[-1]
+    work += log_w
+    plan = Tensor(np.exp(work, out=work))
+
+    def bwd(gs, wanted):
+        grad = gs[0] * plan.data
+        gu = grad.sum(axis=3, keepdims=True)
+        gv = grad.sum(axis=2, keepdims=True)
+        work = np.empty_like(s)
+        for k in reversed(range(cfg.iters)):
+            # vs[k] feeds us[k + 1] = -log w - LSE_j(M + vs[k]) and, last, the plan
+            gv += _pull_dual_update(s, vs[k], us[k + 1], gu, 2, work, grad, log_w)
+            # us[k] feeds vs[k] = -log w - LSE_i(M + us[k]) and nothing later
+            gu = _pull_dual_update(s, us[k], vs[k], gv, 3, work, grad, log_w)
+            gv = np.zeros_like(gv)
+        return (grad,)
+
+    _record("sinkhorn", (scores,), (plan,), bwd)
     return TransportPlan(values=plan)
 
 

@@ -15,6 +15,7 @@ from . import tensor as tz
 from .model import ModelConfig, StereoPair, forward, init_model
 from .tensor import ConvSpec, Tensor, grad_check
 from .train import LossConfig, loss_total
+from .transport import CostVolume, sinkhorn
 
 PRIMITIVE_TOLERANCE = 1e-4
 END_TO_END_TOLERANCE = 1e-3
@@ -102,6 +103,12 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     checks.append(
         ("layer_norm", [x, gain, shift],
          lambda p: tz.mean_all(tz.mul(tz.layer_norm(p[0], p[1], p[2]), tz.layer_norm(p[0], p[1], p[2])))))
+
+    def sinkhorn_loss(p):
+        plan = sinkhorn(CostVolume(values=p[0])).values
+        return tz.mean_all(tz.mul(plan, plan))
+
+    checks.append(("sinkhorn", [_rand(rng, (2, 3, 5, 5), -2.0, 2.0)], sinkhorn_loss))
 
     return [
         CheckResult(name, grad_check(f, params), PRIMITIVE_TOLERANCE)

@@ -60,7 +60,7 @@ def test_criterion_2_sinkhorn_oracle_agreement():
     # converged agreement on the float64 path
     scores64 = Tensor(rng.normal(size=(1, 2, 8, 8)))
     volume64 = CostVolume(values=scores64)
-    converged = ot.sinkhorn(volume64, SinkhornConfig(iters=3000))
+    converged = ot.sinkhorn(volume64, SinkhornConfig(iters=ot.MAX_SINKHORN_ITERS))
     oracle = ot.sinkhorn_oracle(volume64)
     converged_gap = float(np.abs(converged.values.data - oracle.values.data).max())
     assert converged_gap < 1e-6

@@ -12,6 +12,7 @@ from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
 from stereosr.model import ModelConfig, WeightStore, init_model, save_weights
 from stereosr.tensor import Tensor
+from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
 
 TINY = ModelConfig(n_blocks=1, width=8, scale=4, lska_branches=(LskaBranch(3, 3, 1),))
@@ -284,8 +285,10 @@ class TestCountArguments:
         ["overfit", "--left", "l.png", "--right", "r.png", "--config", "m.cfg",
          "--steps", "-3", "--out", "fit.msin"],
         ["gradcheck", "--seed", "-1"],
+        ["sinkhorn-demo", "--iters", "2147483648"],
+        ["sinkhorn-demo", "--width", str(cli.MAX_DEMO_WIDTH + 1)],
     ], ids=["iters_0", "width_0", "width_negative", "width_not_integer", "steps_negative",
-            "seed_negative"])
+            "seed_negative", "iters_over_cap", "width_over_cap"])
     def test_out_of_range_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -294,6 +297,14 @@ class TestCountArguments:
 
     def test_smallest_counts_accepted(self, capsys):
         assert cli.main(["sinkhorn-demo", "--width", "1", "--iters", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--iters", str(MAX_SINKHORN_ITERS)],
+        ["--width", str(cli.MAX_DEMO_WIDTH)],
+    ], ids=["iters", "width"])
+    def test_largest_counts_accepted(self, argv, capsys):
+        assert cli.main(["sinkhorn-demo", *argv]) == 0
+        assert "max gap vs converged oracle" in capsys.readouterr().out
 
 
 class TestOverfitCommand:

@@ -53,6 +53,51 @@ def apply_filter(ftype, row, prev, bpp):
     return out.astype(np.uint8)
 
 
+def _paeth_oracle(left, up, up_left):
+    p = left.astype(np.int32) + up.astype(np.int32) - up_left.astype(np.int32)
+    pa = np.abs(p - left)
+    pb = np.abs(p - up)
+    pc = np.abs(p - up_left)
+    out = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, up_left))
+    return out.astype(np.uint8)
+
+
+def unfilter_oracle(raw, width, height, channels):
+    """The earlier per-pixel scanline decoder, kept as an exact oracle."""
+    stride = width * channels
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    out = np.zeros((height, stride), dtype=np.uint8)
+    bpp = channels
+    for y in range(height):
+        ftype = int(data[y, 0])
+        row = data[y, 1:].astype(np.int32)
+        prev = out[y - 1].astype(np.int32) if y else np.zeros(stride, dtype=np.int32)
+        if ftype == 0:
+            line = row
+        elif ftype == 1:
+            line = row.copy()
+            for o in range(bpp):
+                line[o::bpp] = np.cumsum(row[o::bpp]) % 256
+        elif ftype == 2:
+            line = (row + prev) % 256
+        else:
+            line = np.zeros(stride, dtype=np.int32)
+            for x in range(width):
+                s = slice(x * bpp, (x + 1) * bpp)
+                left = line[s.start - bpp:s.start] if x else np.zeros(bpp, dtype=np.int32)
+                up = prev[s]
+                if ftype == 3:
+                    line[s] = (row[s] + (left + up) // 2) % 256
+                else:
+                    up_left = prev[s.start - bpp:s.start] if x else np.zeros(bpp, dtype=np.int32)
+                    pred = _paeth_oracle(
+                        left.astype(np.uint8), up.astype(np.uint8), up_left.astype(np.uint8)
+                    )
+                    line[s] = (row[s] + pred) % 256
+        out[y] = line.astype(np.uint8)
+    return out.reshape(height, width, channels)
+
+
 class TestImageBuffer:
     def test_u8_tensor_roundtrip_is_identity(self):
         values = np.arange(256, dtype=np.uint8)
@@ -105,6 +150,40 @@ class TestPngRoundTrip:
             prev = raw
         buf = im.decode_png(build_png(5, 6, 8, 2, bytes(rows)))
         np.testing.assert_array_equal(buf.pixels, pixels)
+
+
+class TestUnfilterOracle:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4, None])
+    def test_matches_per_pixel_decoder(self, ftype, width, channels):
+        # any bytes are valid filtered data; None mixes all five filters
+        rng = np.random.default_rng(40 + 10 * width + channels)
+        height = 64
+        rows = rng.integers(0, 256, size=(height, 1 + width * channels), dtype=np.uint8)
+        rows[:, 0] = rng.integers(0, 5, size=height) if ftype is None else ftype
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, height, channels),
+            unfilter_oracle(raw, width, height, channels),
+        )
+
+    def test_paeth_tie_between_up_and_up_left_picks_up(self):
+        # left 110, up 80, up-left 100: |left - upleft| = |left + up - 2 upleft| = 10
+        rows = bytes([0, 100, 80, 4, 10, 0])
+        np.testing.assert_array_equal(im._unfilter(rows, 2, 2, 1)[1, :, 0], [110, 80])
+        np.testing.assert_array_equal(unfilter_oracle(rows, 2, 2, 1)[1, :, 0], [110, 80])
+
+    def test_matches_on_saturated_rows(self):
+        # all-255 and all-0 rows exercise the Paeth ties and the mod-256 wrap
+        width, channels = 5, 3
+        rows = np.zeros((10, 1 + width * channels), np.uint8)
+        rows[::2, 1:] = 255
+        rows[:, 0] = [3, 4, 4, 3, 4, 1, 4, 2, 4, 3]
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, 10, channels), unfilter_oracle(raw, width, 10, channels)
+        )
 
 
 class TestPngValidation:

@@ -1,6 +1,8 @@
 """Optimal-transport attention: marginal guarantees, oracle agreement,
 fusion semantics, and differentiability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,57 @@ def random_doubly_stochastic(w, rng, terms=6):
         perm = rng.permutation(w)
         out[np.arange(w), perm] += coeff
     return out
+
+
+def _sinkhorn_unrolled(m: CostVolume, cfg: SinkhornConfig) -> Tensor:
+    """The plan as a composition of taped primitives, one record per step:
+    the form ``sinkhorn`` replaces, kept as its forward and gradient oracle."""
+    scores = m.values
+    n, rows, w, _ = scores.shape
+    log_w = math.log(w)
+    u = tz.zeros((n, rows, w, 1), dtype=scores.dtype)
+    v = tz.zeros((n, rows, 1, w), dtype=scores.dtype)
+    for _ in range(cfg.iters):
+        v = tz.neg(tz.add(tz.logsumexp(tz.add(scores, u), axis=2), log_w))
+        u = tz.neg(tz.add(tz.logsumexp(tz.add(scores, v), axis=3), log_w))
+    return tz.exp(tz.add(tz.add(tz.add(scores, u), v), log_w))
+
+
+def _plan_and_gradient(plan_fn, scores: Tensor, cot: np.ndarray):
+    with tz.GradTape() as tape:
+        plan = plan_fn(scores)
+        loss = tz.sum_all(tz.mul(plan, Tensor(cot)))
+    (grad,) = tape.gradients(loss, [scores])
+    return plan.data, grad
+
+
+class TestFusedSinkhorn:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-6)])
+    @pytest.mark.parametrize("iters", [1, 2, 10])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matches_unrolled_composition(self, dtype, rtol, iters, batch):
+        rng = np.random.default_rng(100 + 10 * iters + batch)
+        scores = Tensor((rng.normal(size=(batch, 3, 7, 7)) * 3.0).astype(dtype))
+        cot = rng.normal(size=scores.shape).astype(dtype)
+        cfg = SinkhornConfig(iters=iters)
+        plan, grad = _plan_and_gradient(
+            lambda s: ot.sinkhorn(CostVolume(values=s), cfg).values, scores, cot)
+        plan_ref, grad_ref = _plan_and_gradient(
+            lambda s: _sinkhorn_unrolled(CostVolume(values=s), cfg), scores, cot)
+        assert plan.dtype == dtype and grad.dtype == dtype
+        assert np.array_equal(plan, plan_ref)
+        rel = np.abs(grad - grad_ref).max() / np.abs(grad_ref).max()
+        assert rel < rtol
+
+    def test_taped_stage_records_one_sinkhorn(self):
+        c = 4
+        p = init_params(ot.deam_layout(c), np.random.default_rng(20))
+        x = Tensor(np.random.default_rng(21).normal(size=(1, c, 3, 5)).astype(np.float32))
+        with tz.GradTape() as tape:
+            ot.deam_forward(x, x, p)
+        names = [rec.name for rec in tape._records]
+        assert names.count("sinkhorn") == 1
+        assert "logsumexp" not in names
 
 
 class TestCostMatrix:
@@ -77,6 +130,13 @@ class TestSinkhorn:
     def test_default_iteration_count(self):
         assert SinkhornConfig().iters == 10
 
+    def test_iteration_cap(self):
+        assert SinkhornConfig(iters=ot.MAX_SINKHORN_ITERS).iters == ot.MAX_SINKHORN_ITERS
+        with pytest.raises(ValueError, match="iters"):
+            SinkhornConfig(iters=ot.MAX_SINKHORN_ITERS + 1)
+        with pytest.raises(ValueError, match="iters"):
+            SinkhornConfig(iters=0)
+
     def test_ten_iterations_near_converged_oracle(self):
         m = random_cost((1, 4, 8, 8), seed=1)
         plan = ot.sinkhorn(m, SinkhornConfig(iters=10))
@@ -111,7 +171,7 @@ class TestSinkhorn:
 
     def test_transpose_duality_at_convergence(self):
         m = Tensor(np.random.default_rng(8).normal(size=(1, 2, 6, 6)))
-        cfg = SinkhornConfig(iters=2000)
+        cfg = SinkhornConfig(iters=ot.MAX_SINKHORN_ITERS)
         plan = ot.sinkhorn(CostVolume(values=m), cfg).values.data
         plan_t = ot.sinkhorn(CostVolume(values=Tensor(m.data.swapaxes(2, 3).copy())), cfg).values.data
         np.testing.assert_allclose(plan_t, plan.swapaxes(2, 3), atol=1e-6)
