@@ -82,8 +82,12 @@ def parse_config_file(path) -> ModelConfig:
     """Read a ModelConfig from `key = value` lines; omitted keys keep their
     defaults, unknown keys are rejected."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{path}: config file is not UTF-8 text: {e}") from e
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -289,10 +293,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as e:  # argparse --help
         return EXIT_OK if not e.code else EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (PngError, WeightFormatError) as e:
+    except (OSError, PngError, WeightFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (NonConvergenceError, TrainingDivergedError, ShapeError, ValueError) as e:

@@ -22,6 +22,12 @@ _FLAG_SINGLE_INTERACTION = 2
 _FLAG_GLOBAL_RESIDUAL = 4
 _KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBAL_RESIDUAL
 
+# Size caps.  At both caps the default branches give 209,570,864 parameters
+# (0.84 GB of float32) with shared view weights and 351,377,504 (1.41 GB)
+# with separate ones.
+MAX_BLOCKS = 256
+MAX_WIDTH = 256
+
 class WeightFormatError(ValueError):
     """A weight file failed validation."""
 
@@ -45,10 +51,10 @@ class ModelConfig:
     global_residual: bool = True
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.width < 4 or self.width % 2:
-            raise ValueError(f"width must be even and >= 4, got {self.width}")
+        if not 1 <= self.n_blocks <= MAX_BLOCKS:
+            raise ValueError(f"n_blocks must be in [1, {MAX_BLOCKS}], got {self.n_blocks}")
+        if not 4 <= self.width <= MAX_WIDTH or self.width % 2:
+            raise ValueError(f"width must be even and in [4, {MAX_WIDTH}], got {self.width}")
         if self.scale not in (2, 4):
             raise ValueError(f"scale must be 2 or 4, got {self.scale}")
         if not self.lska_branches:
@@ -318,7 +324,7 @@ class _Reader:
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
             raise WeightFormatError(
-                f"truncated weight file: wanted {count} bytes at offset {self.pos}, "
+                f"truncated weight file: needs {count} bytes at offset {self.pos}, "
                 f"only {len(self.blob) - self.pos} remain"
             )
         chunk = self.blob[self.pos:self.pos + count]

@@ -4,8 +4,10 @@ Values are immutable (batch, channels, height, width) arrays, float32 by
 default.  Every operation here is a primitive with a paired backward rule;
 while a :class:`GradTape` is active the primitives record themselves, and
 replaying the tape in reverse yields exact loss gradients for arbitrary
-compositions.  float64 is supported throughout so numerical checks can run
-at higher precision than the training path.
+compositions.  Each record holds one output tensor, and its backward rule
+maps that output's cotangent to one cotangent per input.  float64 is
+supported throughout so numerical checks can run at higher precision than
+the training path.
 """
 
 from __future__ import annotations
@@ -98,19 +100,18 @@ def full(shape, value, dtype=DEFAULT_DTYPE) -> Tensor:
 # Gradient tape
 # ---------------------------------------------------------------------------
 
-# A backward rule receives the output cotangents (one ndarray per output,
-# zeros substituted for unused outputs) and a per-input "wanted" mask, and
-# returns one cotangent ndarray (or None) per recorded input.
-_BackwardFn = Callable[[tuple, tuple], tuple]
+# A backward rule receives its output's cotangent and returns one cotangent
+# ndarray per recorded input.  It may hand one array to several inputs.
+_BackwardFn = Callable[[np.ndarray], tuple]
 
 
 class _Recorded:
-    __slots__ = ("name", "inputs", "outputs", "backward")
+    __slots__ = ("name", "inputs", "output", "backward")
 
-    def __init__(self, name: str, inputs: tuple, outputs: tuple, backward: _BackwardFn):
+    def __init__(self, name: str, inputs: tuple, output: Tensor, backward: _BackwardFn):
         self.name = name
         self.inputs = inputs
-        self.outputs = outputs
+        self.output = output
         self.backward = backward
 
 
@@ -158,50 +159,31 @@ class GradTape:
         needed = set(requested)
         for rec in self._records:
             if any(id(t) in needed for t in rec.inputs):
-                needed.update(id(o) for o in rec.outputs)
+                needed.add(id(rec.output))
 
+        # Only needed tensors collect cotangents, so a record whose output
+        # has none is skipped whole.
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        # arrays we created by accumulation and may therefore update in place
-        owned: set[int] = set()
         for rec in reversed(self._records):
-            if not any(id(o) in needed for o in rec.outputs):
-                continue
-            out_grads = tuple(grads.get(id(o)) for o in rec.outputs)
-            if all(g is None for g in out_grads):
-                continue
-            out_grads = tuple(
-                g if g is not None else np.zeros_like(o.data)
-                for g, o in zip(out_grads, rec.outputs)
-            )
-            wanted = tuple(id(t) in needed for t in rec.inputs)
-            in_grads = rec.backward(out_grads, wanted)
-            # every reader of an output comes later on the tape, so its
+            out = id(rec.output)
+            # every reader of the output comes later on the tape, so its
             # cotangent is spent once this record's backward has run
-            for o in rec.outputs:
-                if id(o) not in requested:
-                    grads.pop(id(o), None)
-                    owned.discard(id(o))
-            for t, g, w in zip(rec.inputs, in_grads, wanted):
-                if not w or g is None:
-                    continue
+            g = grads.get(out) if out in requested else grads.pop(out, None)
+            if g is None:
+                continue
+            for t, dt in zip(rec.inputs, rec.backward(g)):
                 tid = id(t)
-                acc = grads.get(tid)
-                if acc is None:
-                    # may alias an array a backward rule also handed elsewhere,
-                    # so it must not be mutated until we own a copy
-                    grads[tid] = g
-                elif tid in owned:
-                    acc += g
-                else:
-                    grads[tid] = acc + g
-                    owned.add(tid)
+                if tid in needed:
+                    # never in place: the summand may be shared with another input
+                    acc = grads.get(tid)
+                    grads[tid] = dt if acc is None else acc + dt
         return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
 
 
-def _record(name: str, inputs: tuple, outputs: tuple, backward_fn: _BackwardFn) -> None:
+def _record(name: str, inputs: tuple, output: Tensor, backward_fn: _BackwardFn) -> None:
     tape = GradTape._active
     if tape is not None:
-        tape._records.append(_Recorded(name, inputs, outputs, backward_fn))
+        tape._records.append(_Recorded(name, inputs, output, backward_fn))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -221,32 +203,24 @@ def add(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         out = Tensor(a.data + b.data)
 
-        def bwd(gs, wanted):
-            g = gs[0]
-            return (
-                _unbroadcast(g, a.shape) if wanted[0] else None,
-                _unbroadcast(g, b.shape) if wanted[1] else None,
-            )
+        def bwd(g):
+            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-        _record("add", (a, b), (out,), bwd)
+        _record("add", (a, b), out, bwd)
         return out
 
     out = Tensor(a.data + a.data.dtype.type(b))
-    _record("add", (a,), (out,), lambda gs, wanted: (gs[0],))
+    _record("add", (a,), out, lambda g: (g,))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
-    def bwd(gs, wanted):
-        g = gs[0]
-        return (
-            _unbroadcast(g, a.shape) if wanted[0] else None,
-            -_unbroadcast(g, b.shape) if wanted[1] else None,
-        )
+    def bwd(g):
+        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
 
-    _record("sub", (a, b), (out,), bwd)
+    _record("sub", (a, b), out, bwd)
     return out
 
 
@@ -255,38 +229,34 @@ def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         out = Tensor(a.data * b.data)
 
-        def bwd(gs, wanted):
-            g = gs[0]
-            return (
-                _unbroadcast(g * b.data, a.shape) if wanted[0] else None,
-                _unbroadcast(g * a.data, b.shape) if wanted[1] else None,
-            )
+        def bwd(g):
+            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-        _record("mul", (a, b), (out,), bwd)
+        _record("mul", (a, b), out, bwd)
         return out
 
     k = a.data.dtype.type(b)
     out = Tensor(a.data * k)
-    _record("mul", (a,), (out,), lambda gs, wanted: (gs[0] * k,))
+    _record("mul", (a,), out, lambda g: (g * k,))
     return out
 
 
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
-    _record("neg", (a,), (out,), lambda gs, wanted: (-gs[0],))
+    _record("neg", (a,), out, lambda g: (-g,))
     return out
 
 
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
-    _record("exp", (a,), (out,), lambda gs, wanted: (gs[0] * out.data,))
+    _record("exp", (a,), out, lambda g: (g * out.data,))
     return out
 
 
 def absolute(a: Tensor) -> Tensor:
     """Elementwise |a|; the backward rule uses sign with sign(0) = 0."""
     out = Tensor(np.abs(a.data))
-    _record("abs", (a,), (out,), lambda gs, wanted: (gs[0] * np.sign(a.data),))
+    _record("abs", (a,), out, lambda g: (g * np.sign(a.data),))
     return out
 
 
@@ -294,10 +264,10 @@ def sum_all(a: Tensor) -> Tensor:
     """Total of all elements as a (1, 1, 1, 1) tensor."""
     out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1))
 
-    def bwd(gs, wanted):
-        return (np.full_like(a.data, gs[0].reshape(())),)
+    def bwd(g):
+        return (np.full_like(a.data, g.reshape(())),)
 
-    _record("sum_all", (a,), (out,), bwd)
+    _record("sum_all", (a,), out, bwd)
     return out
 
 
@@ -306,10 +276,10 @@ def mean_all(a: Tensor) -> Tensor:
     inv = a.data.dtype.type(1.0 / a.numel)
     out = Tensor((a.data.sum(dtype=a.data.dtype) * inv).reshape(1, 1, 1, 1))
 
-    def bwd(gs, wanted):
-        return (np.full_like(a.data, gs[0].reshape(()) * inv),)
+    def bwd(g):
+        return (np.full_like(a.data, g.reshape(()) * inv),)
 
-    _record("mean_all", (a,), (out,), bwd)
+    _record("mean_all", (a,), out, bwd)
     return out
 
 
@@ -323,11 +293,11 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     out_data += m
     out = Tensor(out_data)
 
-    def bwd(gs, wanted):
+    def bwd(g):
         # d/dx is the softmax along the reduced axis
-        return ((gs[0] / total) * shifted,)
+        return ((g / total) * shifted,)
 
-    _record("logsumexp", (a,), (out,), bwd)
+    _record("logsumexp", (a,), out, bwd)
     return out
 
 
@@ -338,10 +308,10 @@ def transpose(a: Tensor, axes: tuple[int, int, int, int]) -> Tensor:
     out = Tensor(np.ascontiguousarray(np.transpose(a.data, axes)))
     inverse = tuple(np.argsort(axes))
 
-    def bwd(gs, wanted):
-        return (np.ascontiguousarray(np.transpose(gs[0], inverse)),)
+    def bwd(g):
+        return (np.ascontiguousarray(np.transpose(g, inverse)),)
 
-    _record("transpose", (a,), (out,), bwd)
+    _record("transpose", (a,), out, bwd)
     return out
 
 
@@ -462,14 +432,13 @@ def conv2d(x: Tensor, spec: ConvSpec, weights: Tensor, bias: Tensor) -> Tensor:
 
     out = Tensor(_conv_forward(x.data, weights.data, spec) + bias.data)
 
-    def bwd(gs, wanted):
-        g = gs[0]
-        dx = _conv_grad_x(g, weights.data, spec) if wanted[0] else None
-        dw = _conv_grad_w(x.data, g, spec) if wanted[1] else None
-        db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if wanted[2] else None
+    def bwd(g):
+        dx = _conv_grad_x(g, weights.data, spec)
+        dw = _conv_grad_w(x.data, g, spec)
+        db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
-    _record("conv2d", (x, weights, bias), (out,), bwd)
+    _record("conv2d", (x, weights, bias), out, bwd)
     return out
 
 
@@ -491,19 +460,16 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-6) -> Ten
     xhat = centered * inv
     out = Tensor(gain.data * xhat + shift.data)
 
-    def bwd(gs, wanted):
-        g = gs[0]
-        dgain = (g * xhat).sum(axis=(0, 2, 3), keepdims=True) if wanted[1] else None
-        dshift = g.sum(axis=(0, 2, 3), keepdims=True) if wanted[2] else None
-        dx = None
-        if wanted[0]:
-            dxh = g * gain.data
-            dx = dxh - dxh.mean(axis=1, keepdims=True)
-            dx -= xhat * (dxh * xhat).mean(axis=1, keepdims=True)
-            dx *= inv
+    def bwd(g):
+        dgain = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dshift = g.sum(axis=(0, 2, 3), keepdims=True)
+        dxh = g * gain.data
+        dx = dxh - dxh.mean(axis=1, keepdims=True)
+        dx -= xhat * (dxh * xhat).mean(axis=1, keepdims=True)
+        dx *= inv
         return dx, dgain, dshift
 
-    _record("layer_norm", (x, gain, shift), (out,), bwd)
+    _record("layer_norm", (x, gain, shift), out, bwd)
     return out
 
 
@@ -515,11 +481,10 @@ def simple_gate(x: Tensor) -> Tensor:
     a, b = x.data[:, :half], x.data[:, half:]
     out = Tensor(a * b)
 
-    def bwd(gs, wanted):
-        g = gs[0]
+    def bwd(g):
         return (np.concatenate([g * b, g * a], axis=1),)
 
-    _record("simple_gate", (x,), (out,), bwd)
+    _record("simple_gate", (x,), out, bwd)
     return out
 
 
@@ -528,10 +493,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
     inv = x.data.dtype.type(1.0 / (x.h * x.w))
 
-    def bwd(gs, wanted):
-        return (np.broadcast_to(gs[0] * inv, x.shape).copy(),)
+    def bwd(g):
+        return (np.broadcast_to(g * inv, x.shape).copy(),)
 
-    _record("global_avg_pool", (x,), (out,), bwd)
+    _record("global_avg_pool", (x,), out, bwd)
     return out
 
 
@@ -553,11 +518,11 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     )
     out = Tensor(np.ascontiguousarray(out_data))
 
-    def bwd(gs, wanted):
-        g = gs[0].reshape(n, cout, h, r, w, r).transpose(0, 1, 3, 5, 2, 4)
+    def bwd(g):
+        g = g.reshape(n, cout, h, r, w, r).transpose(0, 1, 3, 5, 2, 4)
         return (np.ascontiguousarray(g.reshape(n, c, h, w)),)
 
-    _record("pixel_shuffle", (x,), (out,), bwd)
+    _record("pixel_shuffle", (x,), out, bwd)
     return out
 
 
@@ -565,24 +530,23 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 # Fourier transform and batched matrix product
 # ---------------------------------------------------------------------------
 
-def dft2(x: Tensor) -> tuple[Tensor, Tensor]:
+def dft2(x: Tensor) -> Tensor:
     """Unnormalized 2-D discrete Fourier transform over (h, w) per channel.
 
     X[u, v] = sum_{h, w} x[h, w] * exp(-2*pi*i*(u*h/H + v*w/W)), returned as
-    separate real and imaginary tensors.
+    one (n, 2c, h, w) tensor: real parts in channels [0, c), imaginary parts
+    in [c, 2c).
     """
     n, c, h, w = x.shape
     coeffs = np.fft.fft2(x.data, axes=(2, 3))
-    re = Tensor(coeffs.real.astype(x.data.dtype))
-    im = Tensor(coeffs.imag.astype(x.data.dtype))
+    out = Tensor(np.concatenate([coeffs.real, coeffs.imag], axis=1).astype(x.data.dtype))
 
-    def bwd(gs, wanted):
-        g_re, g_im = gs
-        grad = np.fft.ifft2(g_re + 1j * g_im, axes=(2, 3)).real * (h * w)
+    def bwd(g):
+        grad = np.fft.ifft2(g[:, :c] + 1j * g[:, c:], axes=(2, 3)).real * (h * w)
         return (grad.astype(x.data.dtype),)
 
-    _record("dft2", (x,), (re, im), bwd)
-    return re, im
+    _record("dft2", (x,), out, bwd)
+    return out
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -599,13 +563,12 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = Tensor(np.matmul(a.data, b.data))
 
-    def bwd(gs, wanted):
-        g = gs[0]
-        da = np.matmul(g, b.data.swapaxes(2, 3)) if wanted[0] else None
-        db = np.matmul(a.data.swapaxes(2, 3), g) if wanted[1] else None
+    def bwd(g):
+        da = np.matmul(g, b.data.swapaxes(2, 3))
+        db = np.matmul(a.data.swapaxes(2, 3), g)
         return da, db
 
-    _record("batched_matmul", (a, b), (out,), bwd)
+    _record("batched_matmul", (a, b), out, bwd)
     return out
 
 
@@ -635,8 +598,7 @@ def bilinear_upsample(x: Tensor, r: int) -> Tensor:
     rows = x.data[:, :, i0, :] * (1 - th_col) + x.data[:, :, i1, :] * th_col
     out = Tensor(rows[:, :, :, j0] * (1 - tw) + rows[:, :, :, j1] * tw)
 
-    def bwd(gs, wanted):
-        g = gs[0]
+    def bwd(g):
         grows = np.zeros_like(rows)
         np.add.at(grows, (slice(None), slice(None), slice(None), j0), g * (1 - tw))
         np.add.at(grows, (slice(None), slice(None), slice(None), j1), g * tw)
@@ -645,7 +607,7 @@ def bilinear_upsample(x: Tensor, r: int) -> Tensor:
         np.add.at(dx, (slice(None), slice(None), i1, slice(None)), grows * th_col)
         return (dx,)
 
-    _record("bilinear_upsample", (x,), (out,), bwd)
+    _record("bilinear_upsample", (x,), out, bwd)
     return out
 
 

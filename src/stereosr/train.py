@@ -81,13 +81,8 @@ def _view_loss(sr: Tensor, hr: Tensor, freq_weight: float) -> Tensor:
     spatial = mean_all(mul(diff, diff))
     if freq_weight == 0.0:
         return spatial
-    sr_re, sr_im = dft2(sr)
-    hr_re, hr_im = dft2(hr)
     # real and imaginary parts are separate elements of the L1 mean
-    freq = mul(
-        add(mean_all(absolute(sub(sr_re, hr_re))), mean_all(absolute(sub(sr_im, hr_im)))),
-        0.5,
-    )
+    freq = mean_all(absolute(sub(dft2(sr), dft2(hr))))
     return add(spatial, mul(freq, freq_weight))
 
 

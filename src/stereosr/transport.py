@@ -163,8 +163,8 @@ def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
     work += log_w
     plan = Tensor(np.exp(work, out=work))
 
-    def bwd(gs, wanted):
-        grad = gs[0] * plan.data
+    def bwd(g):
+        grad = g * plan.data
         gu = grad.sum(axis=3, keepdims=True)
         gv = grad.sum(axis=2, keepdims=True)
         work = np.empty_like(s)
@@ -176,7 +176,7 @@ def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
             gv = np.zeros_like(gv)
         return (grad,)
 
-    _record("sinkhorn", (scores,), (plan,), bwd)
+    _record("sinkhorn", (scores,), plan, bwd)
     return TransportPlan(values=plan)
 
 

@@ -70,11 +70,8 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("bilinear_upsample", [_rand(rng, (1, 2, 4, 5))], lambda p: tz.sum_all(tz.mul(tz.bilinear_upsample(p[0], 2), tz.bilinear_upsample(p[0], 2)))),
     ]
 
-    def dft_loss(p):
-        re, im = tz.dft2(p[0])
-        return tz.add(tz.mean_all(tz.mul(re, re)), tz.mean_all(tz.mul(im, im)))
-
-    checks.append(("dft2", [_rand(rng, (1, 2, 4, 6))], dft_loss))
+    checks.append(("dft2", [_rand(rng, (1, 2, 4, 6))],
+                   lambda p: tz.mean_all(tz.mul(tz.dft2(p[0]), tz.dft2(p[0])))))
 
     a = _rand(rng, (1, 3, 4, 5))
     b = _rand(rng, (1, 3, 5, 2))

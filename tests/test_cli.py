@@ -10,7 +10,7 @@ from stereosr import cli
 from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
-from stereosr.model import ModelConfig, WeightStore, init_model, save_weights
+from stereosr.model import MAX_BLOCKS, MAX_WIDTH, ModelConfig, WeightStore, init_model, save_weights
 from stereosr.tensor import Tensor
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
@@ -76,7 +76,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("over, at_bound", [
         ("sinkhorn_iters = 1001", "sinkhorn_iters = 1000"),
         ("lska_branches = 3:3:63", "lska_branches = 3:3:62"),   # fields 129 and 127
-    ], ids=["sinkhorn_iters", "effective_field"])
+        (f"n_blocks = {MAX_BLOCKS + 1}", f"n_blocks = {MAX_BLOCKS}"),
+        (f"width = {MAX_WIDTH + 2}", f"width = {MAX_WIDTH}"),
+        ("width = 10000000", f"width = {MAX_WIDTH}"),
+    ], ids=["sinkhorn_iters", "effective_field", "n_blocks", "width", "huge_width"])
     def test_resource_bound_is_usage_error(self, tmp_path, capsys, over, at_bound):
         path = tmp_path / "model.cfg"
         path.write_text(at_bound + "\n")
@@ -88,6 +91,21 @@ class TestConfigFile:
         ])
         assert code == cli.EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "model.cfg"
+        path.write_bytes(b"width = 16\n# \xff\n")
+        with pytest.raises(cli.UsageError, match="not UTF-8"):
+            cli.parse_config_file(path)
+        code = cli.main([
+            "overfit", "--left", "l.png", "--right", "r.png", "--config", str(path),
+            "--steps", "1", "--out", str(tmp_path / "fit.msin"),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
 
 class TestMetricsCommand:
@@ -199,9 +217,10 @@ def _misshapen(store):
 
 
 def _set_word(offset, value):
-    # overwrite one u32 of the header: the first branch triple follows magic,
-    # version and four config words (offset 24); TINY's sinkhorn_iters
-    # follows its one triple (offset 36)
+    # overwrite one u32 of the header: n_blocks and width follow magic and
+    # version (offsets 8 and 12), the first branch triple follows four config
+    # words (offset 24), and TINY's sinkhorn_iters follows its one triple
+    # (offset 36)
     return lambda blob: blob[:offset] + value.to_bytes(4, "little") + blob[offset + 4:]
 
 
@@ -237,6 +256,52 @@ class TestInferWeightFaults:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("offset, value, field", [
+        (8, MAX_BLOCKS + 1, "n_blocks"),
+        (12, MAX_WIDTH + 2, "width"),
+        (12, 10_000_000, "width"),
+    ], ids=["too_many_blocks", "too_wide", "huge_width"])
+    def test_over_cap_header_is_io_error(self, png_pair, tmp_path, capsys, offset, value, field):
+        # rejected from the header, before any tensor is read or allocated
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        weights.write_bytes(_set_word(offset, value)(weights.read_bytes()))
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_IO
+        assert err.startswith(f"error: invalid config block: {field} must be")
+        assert "Traceback" not in err
+
+
+class TestOsErrors:
+    def _assert_io_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_IO
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under_file", [(), ("sub",)], ids=["is_a_file", "under_a_file"])
+    def test_infer_out_dir_blocked_by_file(self, png_pair, tmp_path, capsys, under_file):
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(blocker.joinpath(*under_file)),
+        ])
+        self._assert_io_error(code, capsys)
+
+    def test_metrics_path_under_file(self, png_pair, capsys):
+        left, _ = png_pair
+        code = cli.main(["metrics", "--ref", str(left), "--test", str(left) + "/"])
+        self._assert_io_error(code, capsys)
 
 
 @pytest.fixture

@@ -43,6 +43,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_blocks=0), dict(width=2), dict(width=7), dict(scale=3),
         dict(sinkhorn_iters=0), dict(lska_branches=()),
+        dict(n_blocks=md.MAX_BLOCKS + 1), dict(width=md.MAX_WIDTH + 2),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -336,12 +337,12 @@ class TestSerialization:
             md.load_weights(path)
 
     def test_block_count_beyond_file_fails_at_first_missing_tensor(self, tmp_path):
-        # a header claiming more blocks than the file holds is rejected at
-        # the first tensor the file lacks
+        # a header claiming more blocks than the file holds, but no more
+        # than the cap, is rejected at the first tensor the file lacks
         path = tmp_path / "weights.msin"
         md.save_weights(self._store(), path)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = struct.pack("<I", 2**16)
+        blob[8:12] = struct.pack("<I", md.MAX_BLOCKS)
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFormatError, match="missing tensor 'block.2.mscam.norm.gain'"):
             md.load_weights(path)

@@ -267,10 +267,17 @@ class TestPixelShuffle:
             tz.pixel_shuffle(tz.zeros((1, 6, 2, 2)), 2)
 
 
+def dft2_parts(x):
+    """The real and the imaginary half of ``tz.dft2(x)``'s channels."""
+    spec = tz.dft2(x)
+    assert spec.shape == (x.n, 2 * x.c, x.h, x.w)
+    return Tensor(spec.data[:, :x.c]), Tensor(spec.data[:, x.c:])
+
+
 class TestDft2:
     def test_constant_is_dc_only(self):
         k, h, w = 2.5, 3, 5
-        re, im = tz.dft2(tz.full((1, 1, h, w), k))
+        re, im = dft2_parts(tz.full((1, 1, h, w), k))
         assert re.data[0, 0, 0, 0] == pytest.approx(k * h * w, rel=1e-6)
         rest = re.data.copy()
         rest[0, 0, 0, 0] = 0.0
@@ -279,7 +286,7 @@ class TestDft2:
 
     def test_impulse_is_flat(self):
         x = tz.tensor([[[[1.0, 0.0], [0.0, 0.0]]]])
-        re, im = tz.dft2(x)
+        re, im = dft2_parts(x)
         np.testing.assert_allclose(re.data, 1.0, atol=1e-6)
         np.testing.assert_allclose(im.data, 0.0, atol=1e-6)
 
@@ -295,14 +302,14 @@ class TestDft2:
                         want[:, :, u, v] += x[:, :, a, b] * np.exp(
                             -2j * np.pi * (u * a / hh + v * b / ww)
                         )
-        re, im = tz.dft2(Tensor(x.astype(np.float64)))
+        re, im = dft2_parts(Tensor(x.astype(np.float64)))
         np.testing.assert_allclose(re.data, want.real, atol=1e-9)
         np.testing.assert_allclose(im.data, want.imag, atol=1e-9)
 
     def test_parseval(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(1, 1, 6, 7)).astype(np.float32)
-        re, im = tz.dft2(Tensor(x))
+        re, im = dft2_parts(Tensor(x))
         spec_energy = float((re.data ** 2 + im.data ** 2).sum())
         sig_energy = float((x ** 2).sum()) * 6 * 7
         assert abs(spec_energy - sig_energy) / sig_energy < 1e-3
@@ -313,9 +320,9 @@ class TestDft2:
         y = Tensor(rng.normal(size=(1, 1, 5, 5)).astype(np.float32))
         a, b = 1.7, -0.6
         combo = Tensor(a * x.data + b * y.data)
-        re_c, im_c = tz.dft2(combo)
-        re_x, im_x = tz.dft2(x)
-        re_y, im_y = tz.dft2(y)
+        re_c, im_c = dft2_parts(combo)
+        re_x, im_x = dft2_parts(x)
+        re_y, im_y = dft2_parts(y)
         np.testing.assert_allclose(re_c.data, a * re_x.data + b * re_y.data, atol=1e-4)
         np.testing.assert_allclose(im_c.data, a * im_x.data + b * im_y.data, atol=1e-4)
 
@@ -409,6 +416,20 @@ class TestBackward:
         (g,) = tape.gradients(loss, [x])
         np.testing.assert_allclose(g.ravel(), [7.0])
 
+    def test_shared_cotangent_array_is_not_mutated(self):
+        # add hands one array to both of its inputs, and both inputs then
+        # receive more: accumulating in place into that array would leak
+        # x's second summand into y's gradient and the other way round
+        x = tz.tensor(np.array([1.0]).reshape(1, 1, 1, 1))
+        y = tz.tensor(np.array([2.0]).reshape(1, 1, 1, 1))
+        with GradTape() as tape:
+            m = tz.mul(x, y)
+            s = tz.add(x, y)
+            loss = tz.sum_all(tz.add(tz.mul(s, s), m))   # (x + y)^2 + x*y
+        g_x, g_y = tape.gradients(loss, [x, y])
+        np.testing.assert_array_equal(g_x.ravel(), [8.0])   # 2(x + y) + y
+        np.testing.assert_array_equal(g_y.ravel(), [7.0])   # 2(x + y) + x
+
     def test_requested_intermediate_gets_its_gradient(self):
         # y is a record's output and is read twice, so its cotangent is
         # accumulated before its own record runs
@@ -464,9 +485,12 @@ class TestGradCheck:
 
     def test_dft_loss(self):
         x = tz.tensor(np.random.default_rng(18).normal(size=(1, 2, 4, 6)))
+        real_half = Tensor(np.array([1.0, 1.0, 0.0, 0.0]).reshape(1, 4, 1, 1))
 
         def f(p):
-            re, im = tz.dft2(p[0])
+            spec = tz.dft2(p[0])
+            re = tz.mul(spec, real_half)   # imaginary channels zeroed
+            im = tz.sub(spec, re)          # real channels zeroed
             return tz.add(tz.mean_all(tz.mul(re, re)), tz.mean_all(tz.absolute(im)))
 
         assert tz.grad_check(f, [x]) < 1e-4

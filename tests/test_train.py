@@ -9,7 +9,7 @@ import pytest
 from stereosr import train as tr
 from stereosr import tensor as tz
 from stereosr.blocks import LskaBranch
-from stereosr.model import ModelConfig, StereoPair, init_model
+from stereosr.model import ModelConfig, StereoPair, forward, init_model
 from stereosr.tensor import Tensor
 from stereosr.train import LionState, LossConfig, ScheduleConfig, StepLog
 
@@ -56,6 +56,18 @@ class TestLossTotal:
         a = rng.uniform(size=(1, 3, 4, 6)).astype(np.float32)
         b = rng.uniform(size=(1, 3, 4, 6)).astype(np.float32)
         assert tr.loss_total(pair_from(a), pair_from(b)).item() > 0.0
+
+    def test_every_record_has_one_tensor_output(self):
+        # the backward pass looks up one cotangent per record's output, so a
+        # record holding a tuple would silently never receive one
+        cfg = ModelConfig(n_blocks=2, width=16)
+        rng = np.random.default_rng(3)
+        lr = pair_from(rng.uniform(size=(1, 3, 4, 6)).astype(np.float32))
+        hr = pair_from(rng.uniform(size=(1, 3, 16, 24)).astype(np.float32))
+        with tz.GradTape() as tape:
+            tr.loss_total(forward(lr, init_model(cfg, 0), cfg), hr)
+        assert len(tape) > 0
+        assert all(isinstance(rec.output, Tensor) for rec in tape._records)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(tz.ShapeError):
