@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_png
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .model import (
     ModelConfig,
     StereoPair,
@@ -216,6 +216,16 @@ def _cmd_sinkhorn_demo(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = load_png(args.ref).to_tensor()
     test = load_png(args.test).to_tensor()
+    if ref.shape != test.shape:
+        raise UsageError(
+            f"reference is {ref.h}x{ref.w} but test image is {test.h}x{test.w}; "
+            f"the images must have the same size"
+        )
+    if ref.h < SSIM_WINDOW or ref.w < SSIM_WINDOW:
+        raise UsageError(
+            f"images are {ref.h}x{ref.w}, smaller than the "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+        )
     print(f"PSNR {psnr(ref, test):.2f}")
     print(f"SSIM {ssim(ref, test):.4f}")
     return EXIT_OK

@@ -24,9 +24,12 @@ _KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBA
 
 # Size caps.  At both caps the default branches give 209,570,864 parameters
 # (0.84 GB of float32) with shared view weights and 351,377,504 (1.41 GB)
-# with separate ones.
+# with separate ones.  With MAX_BRANCHES branches of the largest kind
+# (base_k + dilated_k = 128, e.g. 127:1:1) as well, the counts are
+# 340,642,864 (1.36 GB) and 613,521,504 (2.45 GB).
 MAX_BLOCKS = 256
 MAX_WIDTH = 256
+MAX_BRANCHES = 8
 
 class WeightFormatError(ValueError):
     """A weight file failed validation."""
@@ -57,8 +60,11 @@ class ModelConfig:
             raise ValueError(f"width must be even and in [4, {MAX_WIDTH}], got {self.width}")
         if self.scale not in (2, 4):
             raise ValueError(f"scale must be 2 or 4, got {self.scale}")
-        if not self.lska_branches:
-            raise ValueError("at least one LSKA branch is required")
+        if not 1 <= len(self.lska_branches) <= MAX_BRANCHES:
+            raise ValueError(
+                f"lska_branches must hold 1 to {MAX_BRANCHES} branches, "
+                f"got {len(self.lska_branches)}"
+            )
         if not 1 <= self.sinkhorn_iters <= MAX_SINKHORN_ITERS:
             raise ValueError(
                 f"sinkhorn_iters must be in [1, {MAX_SINKHORN_ITERS}], got {self.sinkhorn_iters}"
@@ -347,6 +353,11 @@ def load_weights(path) -> WeightStore:
     if version != FORMAT_VERSION:
         raise WeightFormatError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
     *sizes, branch_count = r.unpack("<IIII")   # n_blocks, width, scale
+    if branch_count > MAX_BRANCHES:
+        raise WeightFormatError(
+            f"invalid config block: branch_count must be at most {MAX_BRANCHES}, "
+            f"got {branch_count}"
+        )
     branches = [r.unpack("<III") for _ in range(branch_count)]
     sinkhorn_iters, flags = r.unpack("<II")
     if flags & ~_KNOWN_FLAGS:

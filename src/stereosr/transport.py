@@ -2,14 +2,21 @@
 
 For each batch item and image row, the left/right feature columns are
 scored against each other (scaled dot product), and the score matrix is
-normalized with log-domain Sinkhorn iterations instead of a softmax.  The
-result is an approximately doubly stochastic transport plan: rows sum to 1
-exactly after the final row update, columns converge toward 1 with more
-iterations.  The whole normalization is one tape primitive that keeps only
-the per-iteration duals, so on a tape it holds two cost-sized volumes (the
-scores and the plan) however many iterations it runs.  Fusion mixes
-features across views through the plan, scaled by per-channel weights that
-start at zero so the module is the identity at initialization.
+normalized with Sinkhorn iterations instead of a softmax.  The result is an
+approximately doubly stochastic transport plan: rows sum to 1 exactly after
+the final row update, columns converge toward 1 with more iterations.
+
+The normalization is one tape primitive, computed in one of two forms of the
+same function.  The scaling form (Cuturi 2013) exponentiates the scores once
+and then alternates batched mat-vecs; it runs whenever every row matrix of
+the call spans at most ``SCALING_MAX_RANGE``.  A call with a wider row
+matrix runs the log-domain iterations (Schmitzer 2019), which cannot
+overflow but exponentiate the whole volume twice per iteration.  Either way
+the primitive keeps only per-iteration vectors, so on a tape it holds two
+cost-sized volumes (the scores and the plan) however many iterations it
+runs.  Fusion mixes features across views through the plan, scaled by
+per-channel weights that start at zero so the module is the identity at
+initialization.
 """
 
 from __future__ import annotations
@@ -35,6 +42,12 @@ from .tensor import (
 # Sinkhorn iterations per normalization.  The forward keeps two duals per
 # iteration, so the cap bounds memory as well as work.
 MAX_SINKHORN_ITERS = 1000
+
+# Widest score range (max - min over one w x w row matrix) that the scaling
+# form of ``sinkhorn`` takes.  Its vectors and the backward's rank-1
+# products grow like exp(range) / w, and float32 overflows at exp(88.7), so
+# a call with any wider row matrix runs in the log domain instead.
+SCALING_MAX_RANGE = 80.0
 
 
 class NonConvergenceError(ArithmeticError):
@@ -131,14 +144,13 @@ def _pull_dual_update(scores: np.ndarray, dual_in: np.ndarray, dual_out: np.ndar
     return -work.sum(axis=axis, keepdims=True)
 
 
-def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
+def _log_domain_sinkhorn(m: CostVolume, cfg: SinkhornConfig) -> TransportPlan:
     """Log-domain Sinkhorn normalization of a cost volume, as one primitive.
 
     Per row: duals start at zero, then for each iteration the column dual is
     refreshed from a column-wise logsumexp and the row dual from a row-wise
-    one (columns first).  The returned plan exp(M + u + v + log w) has rows
-    summing to 1 exactly (up to rounding) and columns converging toward 1.
-    All updates are overflow-safe for bounded scores.
+    one (columns first), and the plan is exp(M + u + v + log w).  All
+    updates are overflow-safe for any finite scores.
 
     The forward reuses one work volume in place and keeps only the duals
     u_0..u_K and v_1..v_K.  The backward is the gradient of the unrolled
@@ -147,9 +159,7 @@ def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
     """
     scores = m.values
     s = scores.data
-    n, rows, h, w = s.shape
-    if h != w:
-        raise ShapeError(f"cost volume must be square per row, got {s.shape}")
+    n, rows, _, w = s.shape
     log_w = s.dtype.type(math.log(w))
     work = np.empty_like(s)
     us = [np.zeros((n, rows, w, 1), dtype=s.dtype)]
@@ -178,6 +188,90 @@ def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> Transport
 
     _record("sinkhorn", (scores,), plan, bwd)
     return TransportPlan(values=plan)
+
+
+def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
+    """Sinkhorn normalization of a cost volume, as one tape primitive.
+
+    Per row matrix M (w x w) the plan is that of ``cfg.iters`` log-domain
+    Sinkhorn iterations from zero duals, columns first: rows sum to 1
+    exactly (up to rounding) and columns converge toward 1.
+
+    When every row matrix spans at most ``SCALING_MAX_RANGE`` it runs in
+    the scaling domain (Cuturi 2013), the same function with one ``exp``:
+    K = exp(M - max M), then b = 1 / (w K^T a) and a = 1 / (w K b) from
+    a = 1, and the plan w * a_i K_ij b_j, built in place over K.  The
+    backward is the gradient of the unrolled iterations.  It rebuilds K
+    from the scores and pulls the cotangents alpha = a * da and
+    beta = b * db back through the mat-vecs; every iteration adds two
+    rank-1 terms to the scores' gradient, and all of them are applied at
+    once as K * (U V), one batched matrix product.  Only the vectors
+    a_0..a_K and b_1..b_K are held, so on a tape the primitive keeps two
+    cost-sized volumes (the scores and the plan).
+
+    A call with a wider row matrix anywhere runs the log-domain iterations
+    instead (the stabilized form of Schmitzer 2019), whose updates cannot
+    overflow.
+    """
+    scores = m.values
+    s = scores.data
+    n, rows, h, w = s.shape
+    if h != w:
+        raise ShapeError(f"cost volume must be square per row, got {s.shape}")
+    top = s.max(axis=(2, 3), keepdims=True)
+    kernel = np.subtract(s, top)
+    if -kernel.min(initial=0.0) > SCALING_MAX_RANGE:
+        return _log_domain_sinkhorn(m, cfg)
+    np.exp(kernel, out=kernel)
+    kernel_t = kernel.swapaxes(2, 3)
+    a = [np.ones((n, rows, w, 1), dtype=s.dtype)]
+    b = []
+    for _ in range(cfg.iters):
+        b.append(_scaling_update(kernel_t, a[-1], w))
+        a.append(_scaling_update(kernel, b[-1], w))
+    kernel *= w * a[-1]
+    kernel *= b[-1].swapaxes(2, 3)
+    plan = Tensor(kernel)
+
+    def bwd(g):
+        grad = g * plan.data
+        alpha = grad.sum(axis=3, keepdims=True)
+        beta = grad.sum(axis=2, keepdims=True).swapaxes(2, 3)
+        kernel = np.subtract(s, top)
+        np.exp(kernel, out=kernel)
+        kernel_t = kernel.swapaxes(2, 3)
+        # the scores' share of each update is -w K * (x y^T); rows 2k and
+        # 2k + 1 of ``left`` and ``right`` hold x and y of a_{k+1} and b_k
+        left = np.empty((n, rows, 2 * cfg.iters, w), dtype=s.dtype)
+        right = np.empty_like(left)
+        for k in reversed(range(cfg.iters)):
+            # b_k feeds a_{k+1} = 1 / (w K b_k) and, last, the plan
+            pulled = a[k + 1] * alpha
+            left[:, :, 2 * k] = pulled[..., 0]
+            right[:, :, 2 * k] = b[k][..., 0]
+            beta -= w * b[k] * np.matmul(kernel_t, pulled)
+            # a_k feeds b_k = 1 / (w K^T a_k) and nothing later
+            pulled = b[k] * beta
+            left[:, :, 2 * k + 1] = a[k][..., 0]
+            right[:, :, 2 * k + 1] = pulled[..., 0]
+            alpha = -w * a[k] * np.matmul(kernel, pulled)
+            beta = np.zeros_like(beta)
+        left *= w
+        terms = np.matmul(left.swapaxes(2, 3), right)
+        terms *= kernel
+        grad -= terms
+        return (grad,)
+
+    _record("sinkhorn", (scores,), plan, bwd)
+    return TransportPlan(values=plan)
+
+
+def _scaling_update(kernel: np.ndarray, other: np.ndarray, w: int) -> np.ndarray:
+    """1 / (w * kernel @ other): one scaling vector from the other, as
+    (n, rows, w, 1) columns."""
+    out = np.matmul(kernel, other)
+    out *= w
+    return np.reciprocal(out, out=out)
 
 
 def sinkhorn_oracle(m: CostVolume, tol: float = 1e-9,

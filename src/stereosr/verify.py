@@ -107,6 +107,13 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
 
     checks.append(("sinkhorn", [_rand(rng, (2, 3, 5, 5), -2.0, 2.0)], sinkhorn_loss))
 
+    # rows offset by 0, 30, .., 120 span more than SCALING_MAX_RANGE, so this
+    # checks the log-domain fallback; the row duals absorb the offsets, so
+    # the plan stays soft and its gradient far from zero
+    ramp = np.arange(5, dtype=np.float32).reshape(5, 1) * 30.0
+    wide = Tensor(_rand(rng, (1, 2, 5, 5), -2.0, 2.0).data + ramp)
+    checks.append(("sinkhorn_wide", [wide], sinkhorn_loss))
+
     return [
         CheckResult(name, grad_check(f, params), PRIMITIVE_TOLERANCE)
         for name, params, f in checks

@@ -10,7 +10,7 @@ from stereosr import cli
 from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
-from stereosr.model import MAX_BLOCKS, MAX_WIDTH, ModelConfig, WeightStore, init_model, save_weights
+from stereosr.model import MAX_BLOCKS, MAX_BRANCHES, MAX_WIDTH, ModelConfig, WeightStore, init_model, save_weights
 from stereosr.tensor import Tensor
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
@@ -79,7 +79,10 @@ class TestConfigFile:
         (f"n_blocks = {MAX_BLOCKS + 1}", f"n_blocks = {MAX_BLOCKS}"),
         (f"width = {MAX_WIDTH + 2}", f"width = {MAX_WIDTH}"),
         ("width = 10000000", f"width = {MAX_WIDTH}"),
-    ], ids=["sinkhorn_iters", "effective_field", "n_blocks", "width", "huge_width"])
+        ("lska_branches = " + ", ".join(["3:3:1"] * (MAX_BRANCHES + 1)),
+         "lska_branches = " + ", ".join(["3:3:1"] * MAX_BRANCHES)),
+    ], ids=["sinkhorn_iters", "effective_field", "n_blocks", "width", "huge_width",
+            "branch_count"])
     def test_resource_bound_is_usage_error(self, tmp_path, capsys, over, at_bound):
         path = tmp_path / "model.cfg"
         path.write_text(at_bound + "\n")
@@ -129,6 +132,27 @@ class TestMetricsCommand:
         code = cli.main(["metrics", "--ref", str(tmp_path / "no.png"),
                          "--test", str(tmp_path / "no.png")])
         assert code == cli.EXIT_IO
+
+    def test_sizes_differ_is_usage_error(self, uneven_pair, capsys):
+        left, right = uneven_pair
+        code = cli.main(["metrics", "--ref", str(left), "--test", str(right)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: reference is 8x12 but test image is 8x16; the images must have the same size"
+        ]
+
+    def test_smaller_than_ssim_window_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.png"
+        save_png(ImageBuffer.from_tensor(Tensor(np.full((1, 3, 4, 4), 0.5, np.float32))), path)
+        code = cli.main(["metrics", "--ref", str(path), "--test", str(path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: images are 4x4, smaller than the 11x11 SSIM window"
+        ]
 
 
 class TestSinkhornDemoCommand:
@@ -261,7 +285,10 @@ class TestInferWeightFaults:
         (8, MAX_BLOCKS + 1, "n_blocks"),
         (12, MAX_WIDTH + 2, "width"),
         (12, 10_000_000, "width"),
-    ], ids=["too_many_blocks", "too_wide", "huge_width"])
+        (20, MAX_BRANCHES + 1, "branch_count"),
+        (20, 2**32 - 1, "branch_count"),
+    ], ids=["too_many_blocks", "too_wide", "huge_width", "too_many_branches",
+            "huge_branch_count"])
     def test_over_cap_header_is_io_error(self, png_pair, tmp_path, capsys, offset, value, field):
         # rejected from the header, before any tensor is read or allocated
         left, right = png_pair

@@ -44,6 +44,7 @@ class TestModelConfig:
         dict(n_blocks=0), dict(width=2), dict(width=7), dict(scale=3),
         dict(sinkhorn_iters=0), dict(lska_branches=()),
         dict(n_blocks=md.MAX_BLOCKS + 1), dict(width=md.MAX_WIDTH + 2),
+        dict(lska_branches=(LskaBranch(3, 3, 1),) * (md.MAX_BRANCHES + 1)),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -216,7 +217,7 @@ class TestForward:
     def test_bit_identical_across_blas_thread_counts(self):
         script = (
             "import numpy as np, hashlib\n"
-            "from stereosr import model as md\n"
+            "from stereosr import model as md, tensor as tz, transport as ot\n"
             "from stereosr.model import ModelConfig, StereoPair\n"
             "from stereosr.blocks import LskaBranch\n"
             "from stereosr.tensor import Tensor\n"
@@ -226,7 +227,14 @@ class TestForward:
             "pair = StereoPair(left=Tensor(rng.uniform(size=(1,3,6,10)).astype(np.float32)),"
             " right=Tensor(rng.uniform(size=(1,3,6,10)).astype(np.float32)))\n"
             "out = md.forward(pair, store)\n"
-            "print(hashlib.sha256(out.left.data.tobytes()+out.right.data.tobytes()).hexdigest())\n"
+            "scores = Tensor((rng.normal(size=(1,8,96,96))*3).astype(np.float32))\n"
+            "cot = Tensor(rng.normal(size=(1,8,96,96)).astype(np.float32))\n"
+            "with tz.GradTape() as tape:\n"
+            "    plan = ot.sinkhorn(ot.CostVolume(values=scores)).values\n"
+            "    loss = tz.sum_all(tz.mul(plan, cot))\n"
+            "(grad,) = tape.gradients(loss, [scores])\n"
+            "print(hashlib.sha256(out.left.data.tobytes()+out.right.data.tobytes()"
+            "+plan.data.tobytes()+grad.tobytes()).hexdigest())\n"
         )
         # the child sees only PATH, the thread count and the directory that
         # holds the stereosr package this process imported (a source tree or
@@ -270,6 +278,12 @@ class TestSerialization:
         assert loaded.names() == store.names()
         for a, b in zip(store.tensors(), loaded.tensors()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_branch_count_at_cap_round_trips(self, tmp_path):
+        cfg = tiny_config(lska_branches=(LskaBranch(3, 3, 1),) * md.MAX_BRANCHES)
+        path = tmp_path / "weights.msin"
+        md.save_weights(md.init_model(cfg, seed=12), path)
+        assert md.load_weights(path).config == cfg
 
     def test_file_size_arithmetic(self, tmp_path):
         store = self._store()

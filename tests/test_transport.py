@@ -56,6 +56,34 @@ def _plan_and_gradient(plan_fn, scores: Tensor, cot: np.ndarray):
     return plan.data, grad
 
 
+def _against_log_domain(scores: Tensor, cot: np.ndarray, iters: int):
+    """Plan and gradient of the public ``sinkhorn``, then of the log-domain
+    primitive it falls back to."""
+    cfg = SinkhornConfig(iters=iters)
+    plan, grad = _plan_and_gradient(
+        lambda s: ot.sinkhorn(CostVolume(values=s), cfg).values, scores, cot)
+    plan_ref, grad_ref = _plan_and_gradient(
+        lambda s: ot._log_domain_sinkhorn(CostVolume(values=s), cfg).values, scores, cot)
+    return plan, grad, plan_ref, grad_ref
+
+
+def _score_layout(layout: str, span: float, shape, rng) -> np.ndarray:
+    """Float64 scores whose every trailing (w, w) matrix spans exactly ``span``:
+    a ramp over rows or columns plus a little noise, a sharp diagonal, or
+    uniform noise."""
+    w = shape[-1]
+    ramp = np.linspace(0.0, 1.0, w)
+    noise = rng.uniform(size=shape)
+    s = {
+        "row_offset": ramp[:, None] + 0.05 * noise,
+        "column_offset": ramp[None, :] + 0.05 * noise,
+        "sharp_diagonal": np.broadcast_to(np.eye(w), shape),
+        "uniform": noise,
+    }[layout]
+    s = s - s.min(axis=(-2, -1), keepdims=True)
+    return s * (span / s.max(axis=(-2, -1), keepdims=True))
+
+
 class TestFusedSinkhorn:
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-6)])
     @pytest.mark.parametrize("iters", [1, 2, 10])
@@ -66,13 +94,66 @@ class TestFusedSinkhorn:
         cot = rng.normal(size=scores.shape).astype(dtype)
         cfg = SinkhornConfig(iters=iters)
         plan, grad = _plan_and_gradient(
-            lambda s: ot.sinkhorn(CostVolume(values=s), cfg).values, scores, cot)
+            lambda s: ot._log_domain_sinkhorn(CostVolume(values=s), cfg).values, scores, cot)
         plan_ref, grad_ref = _plan_and_gradient(
             lambda s: _sinkhorn_unrolled(CostVolume(values=s), cfg), scores, cot)
         assert plan.dtype == dtype and grad.dtype == dtype
         assert np.array_equal(plan, plan_ref)
         rel = np.abs(grad - grad_ref).max() / np.abs(grad_ref).max()
         assert rel < rtol
+
+    @pytest.mark.parametrize("dtype, plan_tol, grad_tol",
+                             [(np.float32, 5e-6, 1e-5), (np.float64, 1e-12, 1e-9)])
+    @pytest.mark.parametrize("iters", [1, 2, 10])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_scaling_form_matches_log_domain(self, dtype, plan_tol, grad_tol, iters, batch):
+        rng = np.random.default_rng(200 + 10 * iters + batch)
+        scores = Tensor((rng.normal(size=(batch, 3, 7, 7)) * 3.0).astype(dtype))
+        cot = rng.normal(size=scores.shape).astype(dtype)
+        plan, grad, plan_ref, grad_ref = _against_log_domain(scores, cot, iters)
+        assert plan.dtype == dtype and grad.dtype == dtype
+        assert np.abs(plan - plan_ref).max() <= plan_tol * np.abs(plan_ref).max()
+        assert np.abs(grad - grad_ref).max() <= grad_tol * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("dtype, plan_tol, grad_tol",
+                             [(np.float32, 2e-5, 5e-6), (np.float64, 1e-12, 1e-12)])
+    @pytest.mark.parametrize("span", [20.0, 40.0, 79.0])
+    @pytest.mark.parametrize("layout", ["row_offset", "column_offset", "sharp_diagonal", "uniform"])
+    def test_wide_score_ranges_below_the_fallback(self, dtype, plan_tol, grad_tol, span, layout):
+        rng = np.random.default_rng(int(span))
+        scores = Tensor(_score_layout(layout, span, (1, 2, 16, 16), rng).astype(dtype))
+        cot = rng.normal(size=scores.shape).astype(dtype)
+        plan, grad, plan_ref, grad_ref = _against_log_domain(scores, cot, 10)
+        assert np.isfinite(plan).all() and np.isfinite(grad).all()
+        assert np.abs(plan - plan_ref).max() <= plan_tol
+        assert np.abs(grad - grad_ref).max() <= grad_tol * np.abs(cot).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_wide_row_matrix_sends_the_call_to_the_log_domain(self, dtype):
+        rng = np.random.default_rng(30)
+        scores = rng.normal(size=(2, 3, 8, 8))
+        scores[1, 2] = _score_layout("uniform", 100.0, (8, 8), rng)
+        scores = Tensor(scores.astype(dtype))
+        cot = rng.normal(size=scores.shape).astype(dtype)
+        plan, grad, plan_ref, grad_ref = _against_log_domain(scores, cot, 10)
+        assert np.array_equal(plan, plan_ref)
+        assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("span, falls_back", [(79.0, False), (81.0, True)])
+    def test_fallback_threshold_is_80(self, monkeypatch, span, falls_back):
+        rng = np.random.default_rng(31)
+        scores = rng.normal(size=(2, 3, 8, 8))
+        scores[1, 2] = _score_layout("row_offset", span, (8, 8), rng)
+        calls = []
+        log_domain = ot._log_domain_sinkhorn
+
+        def counted(m, cfg):
+            calls.append(cfg)
+            return log_domain(m, cfg)
+
+        monkeypatch.setattr(ot, "_log_domain_sinkhorn", counted)
+        ot.sinkhorn(CostVolume(values=Tensor(scores.astype(np.float32))))
+        assert len(calls) == falls_back
 
     def test_taped_stage_records_one_sinkhorn(self):
         c = 4
