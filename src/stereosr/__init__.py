@@ -38,9 +38,6 @@ from .model import (  # noqa: E402
     save_weights,
 )
 from .train import (  # noqa: E402
-    LionState,
-    LossConfig,
-    ScheduleConfig,
     TrainingDivergedError,
     cosine_lr,
     lion_step,
@@ -60,7 +57,7 @@ __all__ = [
     "TransportPlan", "cost_matrix", "deam_forward", "sinkhorn", "sinkhorn_oracle",
     "ModelConfig", "StereoPair", "WeightFormatError", "WeightStore",
     "forward", "init_model", "load_weights", "save_weights",
-    "LionState", "LossConfig", "ScheduleConfig", "TrainingDivergedError",
+    "TrainingDivergedError",
     "cosine_lr", "lion_step", "loss_total", "overfit",
     "psnr", "ssim",
     "ImageBuffer", "PngError", "bicubic_downsample", "load_png", "save_png",

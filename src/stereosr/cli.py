@@ -7,6 +7,7 @@ Exit codes are a stable contract for scripts: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -15,6 +16,7 @@ import numpy as np
 from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_png
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .model import (
+    MAX_COST_VOLUME,
     ModelConfig,
     StereoPair,
     WeightFormatError,
@@ -59,8 +61,11 @@ class _Parser(argparse.ArgumentParser):
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-_INT_KEYS = ("n_blocks", "width", "scale", "sinkhorn_iters")
-_BOOL_KEYS = ("share_view_weights", "single_interaction", "global_residual")
+# the keys are ModelConfig's fields; an integer or boolean default gives
+# the field's type
+_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
+_INT_KEYS = tuple(key for key, t in _KEY_TYPES.items() if t is int)
+_BOOL_KEYS = tuple(key for key, t in _KEY_TYPES.items() if t is bool)
 
 
 def _parse_branches(text: str) -> tuple[LskaBranch, ...]:
@@ -130,6 +135,16 @@ def _load_pair(left_path, right_path) -> StereoPair:
     return StereoPair(left=left, right=right)
 
 
+def _check_cost_volume(h: int, w: int) -> None:
+    """Reject a low-resolution size whose cost volume, h * w * w elements,
+    is above MAX_COST_VOLUME."""
+    if h * w * w > MAX_COST_VOLUME:
+        raise UsageError(
+            f"low-resolution size {h}x{w} needs a cost volume of h*w*w = {h * w * w} "
+            f"elements, above the bound of {MAX_COST_VOLUME}"
+        )
+
+
 def _cmd_infer(args) -> int:
     store = load_weights(args.weights)
     cfg = store.config
@@ -138,6 +153,7 @@ def _cmd_infer(args) -> int:
             f"--scale {args.scale} does not match the weight file's scale {cfg.scale}"
         )
     pair = _load_pair(args.left, args.right)
+    _check_cost_volume(pair.left.h, pair.left.w)
     sr = forward(pair, store, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, t in (("left_sr.png", sr.left), ("right_sr.png", sr.right)):
@@ -164,6 +180,7 @@ def _cmd_overfit(args) -> int:
         left=_crop_to_multiple(hr.left, cfg.scale),
         right=_crop_to_multiple(hr.right, cfg.scale),
     )
+    _check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale)
     lr = StereoPair(
         left=bicubic_downsample(hr.left, cfg.scale),
         right=bicubic_downsample(hr.right, cfg.scale),

@@ -17,10 +17,9 @@ from .transport import MAX_SINKHORN_ITERS, SinkhornConfig, deam_layout
 MAGIC = b"MSIN"
 FORMAT_VERSION = 1
 
-_FLAG_SHARE_VIEW_WEIGHTS = 1
-_FLAG_SINGLE_INTERACTION = 2
-_FLAG_GLOBAL_RESIDUAL = 4
-_KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBAL_RESIDUAL
+# The boolean ModelConfig fields, in the order of their bits in a weight
+# file's flags word.
+_FLAG_FIELDS = ("share_view_weights", "single_interaction", "global_residual")
 
 # Size caps.  At both caps the default branches give 209,570,864 parameters
 # (0.84 GB of float32) with shared view weights and 351,377,504 (1.41 GB)
@@ -30,6 +29,12 @@ _KNOWN_FLAGS = _FLAG_SHARE_VIEW_WEIGHTS | _FLAG_SINGLE_INTERACTION | _FLAG_GLOBA
 MAX_BLOCKS = 256
 MAX_WIDTH = 256
 MAX_BRANCHES = 8
+
+# Elements h * w * w of the cross-view cost volume of an h x w low-resolution
+# input (one w x w score matrix per row): 128 MiB of float32.  Admits 32x1024
+# and 128x512 inputs.
+MAX_COST_VOLUME = 2**25
+
 
 class WeightFormatError(ValueError):
     """A weight file failed validation."""
@@ -148,9 +153,6 @@ class WeightStore:
                 )
             out.add(name, t)
         return out
-
-    def astype(self, dtype) -> "WeightStore":
-        return self.replace_values(t.astype(dtype) for t in self.tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +286,10 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
 #
 #   magic "MSIN" | version u32 | n_blocks u32 | width u32 | scale u32
 #   | branch_count u32 | per branch: base_k u32, dilated_k u32, dilation u32
-#   | sinkhorn_iters u32 | flags u32 | tensor_count u32
+#   | sinkhorn_iters u32 | flags u32 (bit i: _FLAG_FIELDS[i]) | tensor_count u32
 #   | per tensor: name_len u16, utf-8 name, rank u8, dims u32 x rank,
 #     raw float32 values
 # ---------------------------------------------------------------------------
-
-def _config_flags(cfg: ModelConfig) -> int:
-    flags = 0
-    if cfg.share_view_weights:
-        flags |= _FLAG_SHARE_VIEW_WEIGHTS
-    if cfg.single_interaction:
-        flags |= _FLAG_SINGLE_INTERACTION
-    if cfg.global_residual:
-        flags |= _FLAG_GLOBAL_RESIDUAL
-    return flags
-
 
 def save_weights(store: WeightStore, path) -> None:
     """Write the store to ``path`` in the self-describing binary format."""
@@ -309,7 +300,8 @@ def save_weights(store: WeightStore, path) -> None:
     out += struct.pack("<IIII", cfg.n_blocks, cfg.width, cfg.scale, len(cfg.lska_branches))
     for br in cfg.lska_branches:
         out += struct.pack("<III", br.base_k, br.dilated_k, br.dilation)
-    out += struct.pack("<II", cfg.sinkhorn_iters, _config_flags(cfg))
+    flags = sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS))
+    out += struct.pack("<II", cfg.sinkhorn_iters, flags)
     out += struct.pack("<I", len(store))
     for name, t in store.items():
         encoded = name.encode("utf-8")
@@ -360,15 +352,13 @@ def load_weights(path) -> WeightStore:
         )
     branches = [r.unpack("<III") for _ in range(branch_count)]
     sinkhorn_iters, flags = r.unpack("<II")
-    if flags & ~_KNOWN_FLAGS:
+    if flags >> len(_FLAG_FIELDS):
         raise WeightFormatError(f"unknown config flag bits: {flags:#x}")
     try:
         cfg = ModelConfig(
             *sizes, lska_branches=tuple(LskaBranch(*b) for b in branches),
             sinkhorn_iters=sinkhorn_iters,
-            share_view_weights=bool(flags & _FLAG_SHARE_VIEW_WEIGHTS),
-            single_interaction=bool(flags & _FLAG_SINGLE_INTERACTION),
-            global_residual=bool(flags & _FLAG_GLOBAL_RESIDUAL),
+            **{name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS)},
         )
     except ValueError as e:
         raise WeightFormatError(f"invalid config block: {e}") from e

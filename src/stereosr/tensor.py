@@ -76,9 +76,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import apply_conv, conv_rows, norm_rows
+from .blocks import _conv1x1, apply_conv, conv_rows, norm_rows
 from .tensor import (
-    ConvSpec,
     ShapeError,
     Tensor,
     _record,
@@ -307,10 +306,6 @@ def sinkhorn_oracle(m: CostVolume, tol: float = 1e-9,
     )
 
 
-def _conv1x1(c: int) -> ConvSpec:
-    return ConvSpec(out_ch=c, in_ch=c, kh=1, kw=1)
-
-
 def deam_forward(x_l: Tensor, x_r: Tensor, p,
                  cfg: SinkhornConfig = SinkhornConfig()) -> tuple[Tensor, Tensor, TransportPlan]:
     """One cross-view interaction: match, transport, fuse.
@@ -325,7 +320,7 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p,
     if x_l.shape != x_r.shape:
         raise ShapeError(f"view shapes differ: {x_l.shape} vs {x_r.shape}")
     c = x_l.c
-    spec = _conv1x1(c)
+    spec = _conv1x1(c, c)
     match_l = apply_conv(layer_norm(x_l, p["norm_l.gain"], p["norm_l.shift"]), spec, p, "match_l")
     match_r = apply_conv(layer_norm(x_r, p["norm_r.gain"], p["norm_r.shift"]), spec, p, "match_r")
     value_l = apply_conv(x_l, spec, p, "value_l")
@@ -359,5 +354,5 @@ def deam_layout(c: int) -> list[tuple]:
     """
     rows = norm_rows("norm_l", c) + norm_rows("norm_r", c)
     for name in ("match_l", "match_r", "value_l", "value_r"):
-        rows += conv_rows(name, _conv1x1(c))
+        rows += conv_rows(name, _conv1x1(c, c))
     return rows + [("fuse_scale_l", (1, c, 1, 1), 0.0), ("fuse_scale_r", (1, c, 1, 1), 0.0)]

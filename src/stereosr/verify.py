@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as tz
 from .model import ModelConfig, StereoPair, forward, init_model
 from .tensor import ConvSpec, Tensor, grad_check
-from .train import LossConfig, loss_total
+from .train import loss_total
 from .transport import CostVolume, sinkhorn
 
 PRIMITIVE_TOLERANCE = 1e-4
@@ -137,7 +137,7 @@ def end_to_end_check(seed: int = 0) -> CheckResult:
 
     def f(params):
         st = store.replace_values(params)
-        return loss_total(forward(lr_pair, st, cfg), hr_pair, LossConfig())
+        return loss_total(forward(lr_pair, st, cfg), hr_pair)
 
     err = grad_check(f, store.tensors())
     return CheckResult("end_to_end", err, END_TO_END_TOLERANCE)

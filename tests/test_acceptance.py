@@ -18,7 +18,9 @@ from stereosr.blocks import LskaBranch
 from stereosr.metrics import psnr, ssim
 from stereosr.model import ModelConfig, StereoPair
 from stereosr.tensor import Tensor, bilinear_upsample
-from stereosr.train import LionState, LossConfig, ScheduleConfig, cosine_lr, overfit
+from stereosr.train import (
+    BETA1, BETA2, FREQ_WEIGHT, LR_MAX, LR_MIN, cosine_lr, lion_step, overfit,
+)
 from stereosr.transport import CostVolume, SinkhornConfig
 
 from _synthetic import make_lr_hr_pair
@@ -115,19 +117,22 @@ def test_criterion_5_overfit_convergence():
 
 
 def test_criterion_6_shipped_constants():
-    assert LossConfig().freq_weight == 0.01
+    assert FREQ_WEIGHT == 0.01
     assert SinkhornConfig().iters == 10
     assert ModelConfig().sinkhorn_iters == 10
-    schedule = ScheduleConfig(total_steps=1000)
-    assert schedule.lr_max == 3e-4
-    assert schedule.lr_min == 1e-8
-    assert cosine_lr(0, schedule) == 3e-4
-    assert abs(cosine_lr(1000, schedule) - 1e-8) < 1e-20
+    assert (LR_MAX, LR_MIN) == (3e-4, 1e-8)
+    assert (BETA1, BETA2) == (0.9, 0.99)
+    assert cosine_lr(0, 1000) == 3e-4
+    assert abs(cosine_lr(1000, 1000) - 1e-8) < 1e-20
+    # no weight decay: zero gradients with zero momentum leave every weight as it was
     dummy = md.init_model(ModelConfig(n_blocks=1, width=8, scale=2,
                                       lska_branches=(LskaBranch(3, 3, 1),)), seed=0)
-    assert LionState.init(dummy).weight_decay == 0.0
+    zeros = [np.zeros_like(t.data) for t in dummy.tensors()]
+    stepped, _ = lion_step(dummy, zeros, zeros, lr=3e-4)
+    for before, after in zip(dummy.tensors(), stepped.tensors()):
+        assert np.array_equal(before.data, after.data)
     _report(6, "frequency weight 0.01, 10 transport iterations, lr 3e-4 -> 1e-8, "
-               "weight decay 0, all shipped defaults")
+               "Lion betas 0.9/0.99, weight decay 0, all shipped defaults")
 
 
 def test_criterion_7_shape_and_identity_laws():

@@ -10,7 +10,10 @@ from stereosr import cli
 from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
-from stereosr.model import MAX_BLOCKS, MAX_BRANCHES, MAX_WIDTH, ModelConfig, WeightStore, init_model, save_weights
+from stereosr.model import (
+    MAX_BLOCKS, MAX_BRANCHES, MAX_COST_VOLUME, MAX_WIDTH, ModelConfig, WeightStore, init_model,
+    save_weights,
+)
 from stereosr.tensor import Tensor
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
@@ -365,6 +368,59 @@ class TestMismatchedViews:
         ])
         assert code == cli.EXIT_USAGE
         assert "8x16" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _flat_pair(tmp_path, height, width):
+    paths = []
+    for name in ("left.png", "right.png"):
+        path = tmp_path / name
+        save_png(ImageBuffer.from_tensor(Tensor(np.full((1, 3, height, width), 0.5))), path)
+        paths.append(path)
+    return paths
+
+
+class TestCostVolumeBound:
+    @pytest.mark.parametrize("h, w", [(32, 1024), (128, 512)])
+    def test_bound_admits_and_rejects_one_more_column(self, h, w):
+        assert h * w * w == MAX_COST_VOLUME
+        cli._check_cost_volume(h, w)
+        with pytest.raises(cli.UsageError):
+            cli._check_cost_volume(h, w + 1)
+
+    def test_infer_is_usage_error(self, tmp_path, capsys):
+        # a 1x65536 pair would need a 16 GiB cost volume
+        left, right = _flat_pair(tmp_path, 1, 65536)
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "1x65536" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overfit_is_usage_error_before_downsampling(self, tmp_path, capsys, monkeypatch):
+        # the bicubic matrices of a 16384-wide view alone would take 1 GiB
+        def downsample(*args):
+            raise AssertionError("bicubic_downsample ran before the size check")
+
+        monkeypatch.setattr(cli, "bicubic_downsample", downsample)
+        left, right = _flat_pair(tmp_path, 2, 16384)
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+        out = tmp_path / "fit.msin"
+        code = cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "1", "--out", str(out),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "1x8192" in err
         assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Network assembly: configuration, initialization, forward laws, and the
 weight file format."""
 
+import hashlib
+import itertools
 import re
 import struct
 import subprocess
@@ -339,13 +341,33 @@ class TestSerialization:
         with pytest.raises(WeightFormatError, match="duplicate"):
             md.load_weights(path)
 
-    def test_unknown_flags_rejected(self, tmp_path):
+    @pytest.mark.parametrize("share, single, residual",
+                             list(itertools.product([False, True], repeat=3)))
+    def test_flag_word_for_every_combination(self, tmp_path, share, single, residual):
+        cfg = tiny_config(share_view_weights=share, single_interaction=single,
+                          global_residual=residual)
+        path = tmp_path / "weights.msin"
+        md.save_weights(md.init_model(cfg, seed=13), path)
+        flags_offset = 4 + 4 + 16 + 12 * len(cfg.lska_branches) + 4
+        (flags,) = struct.unpack_from("<I", path.read_bytes(), flags_offset)
+        assert flags == share * 1 + single * 2 + residual * 4
+        assert md.load_weights(path).config == cfg
+
+    def test_golden_file_digest(self, tmp_path):
+        # pins the MSIN v1 byte layout and the seeded init together
+        path = tmp_path / "weights.msin"
+        md.save_weights(md.init_model(ModelConfig(n_blocks=1, width=8), 5), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fb39f328446d500e46c1f11a1b71af6e1dd0a11cee1805398705d7268d6853ca"
+
+    @pytest.mark.parametrize("flags", [0xF0, 0x08], ids=["high_bits", "lowest_unknown_bit"])
+    def test_unknown_flags_rejected(self, tmp_path, flags):
         store = self._store()
         path = tmp_path / "weights.msin"
         md.save_weights(store, path)
         blob = bytearray(path.read_bytes())
         flags_offset = 4 + 4 + 16 + 12 * len(store.config.lska_branches) + 4
-        blob[flags_offset:flags_offset + 4] = struct.pack("<I", 0xF0)
+        blob[flags_offset:flags_offset + 4] = struct.pack("<I", flags)
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFormatError, match="flag"):
             md.load_weights(path)

@@ -11,7 +11,7 @@ from stereosr import tensor as tz
 from stereosr.blocks import LskaBranch
 from stereosr.model import ModelConfig, StereoPair, forward, init_model
 from stereosr.tensor import Tensor
-from stereosr.train import LionState, LossConfig, ScheduleConfig, StepLog
+from stereosr.train import BETA1, BETA2, FREQ_WEIGHT, StepLog
 
 
 def pair_of(value, shape=(1, 3, 4, 6)):
@@ -29,27 +29,27 @@ class TestLossTotal:
         data = rng.uniform(size=(1, 3, 4, 6)).astype(np.float32)
         assert tr.loss_total(pair_from(data), pair_from(data)).item() == 0.0
 
-    def test_uniform_offset_spatial_only(self):
-        sr = pair_of(0.6)
-        hr = pair_of(0.5)
-        loss = tr.loss_total(sr, hr, LossConfig(freq_weight=0.0))
-        assert loss.item() == pytest.approx(0.01, rel=1e-5)
-
-    def test_uniform_offset_with_frequency_term(self):
+    @staticmethod
+    def _offset_loss(k):
         # only the DC bin differs, by k*h*w per channel per view, so the
         # frequency mean over real+imaginary entries is |k| / 2
-        k = 0.2
-        sr = pair_of(0.5 + k)
-        hr = pair_of(0.5)
-        cfg = LossConfig(freq_weight=0.01)
-        want = k * k + cfg.freq_weight * (k / 2.0)
-        assert tr.loss_total(sr, hr, cfg).item() == pytest.approx(want, rel=1e-4)
+        return k * k + FREQ_WEIGHT * abs(k) / 2.0
 
-    def test_scaling_law(self):
+    def test_uniform_offset(self):
+        loss = tr.loss_total(pair_of(0.6), pair_of(0.5))
+        assert loss.item() == pytest.approx(self._offset_loss(0.1), rel=1e-5)
+
+    def test_uniform_offset_with_frequency_term(self):
+        k = 0.2
+        loss = tr.loss_total(pair_of(0.5 + k), pair_of(0.5))
+        assert loss.item() == pytest.approx(self._offset_loss(k), rel=1e-4)
+
+    def test_offset_law(self):
         hr = pair_of(0.5)
-        one = tr.loss_total(pair_of(0.6), hr, LossConfig(freq_weight=0.0)).item()
-        two = tr.loss_total(pair_of(0.7), hr, LossConfig(freq_weight=0.0)).item()
-        assert two == pytest.approx(4.0 * one, rel=1e-4)
+        one = tr.loss_total(pair_of(0.6), hr).item()
+        two = tr.loss_total(pair_of(0.7), hr).item()
+        assert one == pytest.approx(self._offset_loss(0.1), rel=1e-4)
+        assert two == pytest.approx(self._offset_loss(0.2), rel=1e-4)
 
     def test_nonnegative_and_definite(self):
         rng = np.random.default_rng(1)
@@ -74,6 +74,10 @@ class TestLossTotal:
             tr.loss_total(pair_of(0.5), pair_of(0.5, shape=(1, 3, 4, 8)))
 
 
+def zero_momentum(store):
+    return [np.zeros_like(t.data) for t in store.tensors()]
+
+
 class TestLionStep:
     def _store(self):
         return init_model(
@@ -83,19 +87,17 @@ class TestLionStep:
 
     def test_zero_gradient_is_noop(self):
         store = self._store()
-        state = LionState.init(store)
         grads = [np.zeros_like(t.data) for t in store.tensors()]
-        new_store, _ = tr.lion_step(store, grads, state, lr=0.1)
+        new_store, _ = tr.lion_step(store, grads, zero_momentum(store), lr=0.1)
         for a, b in zip(store.tensors(), new_store.tensors()):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_step_magnitude_is_lr(self):
         store = self._store()
-        state = LionState.init(store)
         rng = np.random.default_rng(2)
         grads = [rng.normal(size=t.shape).astype(np.float32) for t in store.tensors()]
         lr = 0.05
-        new_store, _ = tr.lion_step(store, grads, state, lr=lr)
+        new_store, _ = tr.lion_step(store, grads, zero_momentum(store), lr=lr)
         for old, new, g in zip(store.tensors(), new_store.tensors(), grads):
             delta = np.abs(new.data - old.data)
             moved = np.sign(g) != 0
@@ -106,51 +108,45 @@ class TestLionStep:
             ModelConfig(n_blocks=1, width=8, scale=2, lska_branches=(LskaBranch(3, 3, 1),)),
             seed=0,
         )
-        state = LionState.init(store)
         grads = [np.full_like(t.data, 2.0) for t in store.tensors()]
-        new_store, _ = tr.lion_step(store, grads, state, lr=0.1)
+        new_store, _ = tr.lion_step(store, grads, zero_momentum(store), lr=0.1)
         for old, new in zip(store.tensors(), new_store.tensors()):
             np.testing.assert_allclose(old.data - new.data, 0.1, rtol=1e-5)
 
     def test_momentum_update_rule(self):
         store = self._store()
-        state = LionState.init(store)
         rng = np.random.default_rng(3)
         grads = [rng.normal(size=t.shape).astype(np.float32) for t in store.tensors()]
-        _, new_state = tr.lion_step(store, grads, state, lr=0.01)
-        for m, g in zip(new_state.momentum, grads):
-            np.testing.assert_allclose(m, (1.0 - state.beta2) * g, rtol=1e-5)
+        _, momentum = tr.lion_step(store, grads, zero_momentum(store), lr=0.01)
+        for m, g in zip(momentum, grads):
+            np.testing.assert_allclose(m, (1.0 - BETA2) * g, rtol=1e-5)
 
     def test_shipped_defaults(self):
-        state = LionState.init(self._store())
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.99
-        assert state.weight_decay == 0.0
+        assert BETA1 == 0.9
+        assert BETA2 == 0.99
+
+    def test_momentum_count_mismatch_rejected(self):
+        store = self._store()
+        grads = [np.zeros_like(t.data) for t in store.tensors()]
+        with pytest.raises(tz.ShapeError):
+            tr.lion_step(store, grads, zero_momentum(store)[1:], lr=0.1)
 
 
 class TestCosineLr:
     def test_endpoints(self):
-        cfg = ScheduleConfig(total_steps=1000)
-        assert tr.cosine_lr(0, cfg) == pytest.approx(3e-4)
-        assert tr.cosine_lr(1000, cfg) == pytest.approx(1e-8)
+        assert tr.cosine_lr(0, 1000) == pytest.approx(3e-4)
+        assert tr.cosine_lr(1000, 1000) == pytest.approx(1e-8)
 
     def test_midpoint(self):
-        cfg = ScheduleConfig(total_steps=1000)
-        assert tr.cosine_lr(500, cfg) == pytest.approx((3e-4 + 1e-8) / 2.0)
+        assert tr.cosine_lr(500, 1000) == pytest.approx((3e-4 + 1e-8) / 2.0)
 
     def test_clamps_past_end(self):
-        cfg = ScheduleConfig(total_steps=100)
-        assert tr.cosine_lr(101, cfg) == pytest.approx(1e-8)
-        assert tr.cosine_lr(10_000, cfg) == pytest.approx(1e-8)
+        assert tr.cosine_lr(101, 100) == pytest.approx(1e-8)
+        assert tr.cosine_lr(10_000, 100) == pytest.approx(1e-8)
 
     def test_non_increasing(self):
-        cfg = ScheduleConfig(total_steps=200)
-        values = [tr.cosine_lr(s, cfg) for s in range(201)]
+        values = [tr.cosine_lr(s, 200) for s in range(201)]
         assert all(b <= a for a, b in zip(values, values[1:]))
-
-    def test_bad_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(total_steps=10, lr_max=1e-8, lr_min=3e-4)
 
 
 class TestOverfit:
@@ -197,12 +193,12 @@ class TestOverfit:
         with pytest.raises(tz.ShapeError):
             tr.overfit(lr, lr, self._cfg(), steps=1)
 
-    def test_divergence_aborts_with_step_index(self):
+    def test_divergence_aborts_with_step_index(self, monkeypatch):
         lr, hr = self._pairs()
-        schedule = ScheduleConfig(total_steps=8, lr_max=1e18, lr_min=1e18)
+        monkeypatch.setattr(tr, "cosine_lr", lambda step, total_steps: 1e18)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(tr.TrainingDivergedError) as err:
-                tr.overfit(lr, hr, self._cfg(), steps=8, seed=8, schedule=schedule)
+                tr.overfit(lr, hr, self._cfg(), steps=8, seed=8)
         assert err.value.step >= 1
 
 
