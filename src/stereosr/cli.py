@@ -155,10 +155,13 @@ def _cmd_infer(args) -> int:
     pair = _load_pair(args.left, args.right)
     _check_cost_volume(pair.left.h, pair.left.w)
     sr = forward(pair, store, cfg)
+    # quantize both views first: a non-finite output writes neither
+    views = {"left_sr.png": ImageBuffer.from_tensor(sr.left),
+             "right_sr.png": ImageBuffer.from_tensor(sr.right)}
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, t in (("left_sr.png", sr.left), ("right_sr.png", sr.right)):
+    for name, image in views.items():
         out_path = os.path.join(args.out_dir, name)
-        save_png(ImageBuffer.from_tensor(t), out_path)
+        save_png(image, out_path)
         print(out_path)
     return EXIT_OK
 

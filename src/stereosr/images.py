@@ -55,9 +55,11 @@ class ImageBuffer:
     @classmethod
     def from_tensor(cls, t: Tensor) -> "ImageBuffer":
         """Quantize a (1, 3, h, w) tensor: clamp to [0, 1], then
-        round-half-up to 8 bits."""
+        round-half-up to 8 bits.  NaN or infinite values raise ValueError."""
         if t.n != 1 or t.c != 3:
             raise ShapeError(f"expected a (1, 3, h, w) tensor, got {t.shape}")
+        if not np.isfinite(t.data).all():
+            raise ValueError("cannot quantize an image with NaN or infinite values")
         x = np.clip(t.data[0].astype(np.float64), 0.0, 1.0)
         quantized = np.floor(x * 255.0 + 0.5).astype(np.uint8)
         return cls(pixels=np.ascontiguousarray(quantized.transpose(1, 2, 0)))

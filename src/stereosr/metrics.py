@@ -20,11 +20,16 @@ def psnr(a: Tensor, b: Tensor) -> float:
     """Peak signal-to-noise ratio in dB for unit dynamic range.
 
     Identical inputs (and anything below the corresponding MSE floor) report
-    the documented 100 dB cap so output stays finite and parseable.
+    the documented 100 dB cap so output stays finite and parseable.  A NaN
+    or infinite value in either input has no PSNR and raises ValueError.
     """
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean(np.square(a.data.astype(np.float64) - b.data.astype(np.float64))))
+    # a NaN or infinite input makes the error NaN (inf - inf, quietly) or inf
+    with np.errstate(invalid="ignore"):
+        mse = float(np.mean(np.square(a.data.astype(np.float64) - b.data.astype(np.float64))))
+    if not math.isfinite(mse):
+        raise ValueError("PSNR is undefined: an input holds a NaN or infinite value")
     if mse <= 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))

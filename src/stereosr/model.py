@@ -3,6 +3,7 @@ sub-pixel reconstruction head, and weight-store (de)serialization."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -372,14 +373,13 @@ def load_weights(path) -> WeightStore:
         except UnicodeDecodeError as e:
             raise WeightFormatError(f"tensor name is not valid UTF-8: {e}") from e
         (rank,) = r.unpack("<B")
-        dims = r.unpack(f"<{rank}I")
-        numel = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = r.take(4 * numel)
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-        try:
-            store.add(name, Tensor(data))
-        except ShapeError as e:
-            raise WeightFormatError(f"tensor {name!r}: {e}") from e
+        if rank != 4:
+            raise WeightFormatError(f"tensor {name!r}: rank {rank}, but tensors are rank-4")
+        dims = r.unpack("<4I")
+        # Python ints: a fixed-width product wraps, and a wrapped count
+        # would pass the framing check
+        raw = r.take(4 * math.prod(dims))
+        store.add(name, Tensor(np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)))
     if r.pos != len(blob):
         raise WeightFormatError(f"{len(blob) - r.pos} trailing bytes after last tensor")
     _check_layout(store)

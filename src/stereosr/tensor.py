@@ -298,20 +298,6 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes: tuple[int, int, int, int]) -> Tensor:
-    """Permute axes; the result stays rank-4."""
-    if sorted(axes) != [0, 1, 2, 3]:
-        raise ShapeError(f"axes must be a permutation of (0, 1, 2, 3), got {axes}")
-    out = Tensor(np.ascontiguousarray(np.transpose(a.data, axes)))
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.ascontiguousarray(np.transpose(g, inverse)),)
-
-    _record("transpose", (a,), out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
@@ -524,7 +510,7 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform and batched matrix product
+# Fourier transform
 # ---------------------------------------------------------------------------
 
 def dft2(x: Tensor) -> Tensor:
@@ -543,29 +529,6 @@ def dft2(x: Tensor) -> Tensor:
         return (grad.astype(x.data.dtype),)
 
     _record("dft2", (x,), out, bwd)
-    return out
-
-
-def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batched over the first two.
-
-    (n, B, X, K) @ (n, B, K, Y) -> (n, B, X, Y), with a fixed accumulation
-    order along K for every output value.
-    """
-    if a.shape[:2] != b.shape[:2]:
-        raise ShapeError(f"batch dims differ: {a.shape[:2]} vs {b.shape[:2]}")
-    if a.shape[3] != b.shape[2]:
-        raise ShapeError(
-            f"inner dimensions disagree: a has K={a.shape[3]}, b has K={b.shape[2]}"
-        )
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def bwd(g):
-        da = np.matmul(g, b.data.swapaxes(2, 3))
-        db = np.matmul(a.data.swapaxes(2, 3), g)
-        return da, db
-
-    _record("batched_matmul", (a, b), out, bwd)
     return out
 
 

@@ -27,16 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _conv1x1, apply_conv, conv_rows, norm_rows
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _record,
-    add,
-    batched_matmul,
-    layer_norm,
-    mul,
-    transpose,
-)
+from .tensor import ShapeError, Tensor, _record, add, layer_norm, mul
 
 # Sinkhorn iterations per normalization.  The forward keeps two duals per
 # iteration, so the cap bounds memory as well as work.
@@ -93,18 +84,64 @@ class SinkhornConfig:
             raise ValueError(f"iters must be in [1, {MAX_SINKHORN_ITERS}], got {self.iters}")
 
 
-def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
-    """Scaled per-row similarity: M[h] = rowsL(h) @ rowsR(h)^T / sqrt(c).
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(n, h, c, w) view of an (n, c, h, w) array: one c x w matrix per
+    image row, strided so ``np.matmul`` reads it without a copy."""
+    return x.swapaxes(1, 2)
 
-    Both inputs are (n, c, h, w) feature maps of identical shape.
+
+def _row_product(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+    """A fresh (n, c, h, w) array whose row matrices are ``a @ b``."""
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_rows(out))
+    return out
+
+
+def cost_matrix(u_l: Tensor, u_r: Tensor) -> CostVolume:
+    """Scaled per-row similarity as one tape primitive: with row h of each
+    (n, c, h, w) feature map a c x w matrix, M[h] = L(h)^T @ R(h) / sqrt(c).
     """
     if u_l.shape != u_r.shape:
         raise ShapeError(f"feature shapes differ: {u_l.shape} vs {u_r.shape}")
-    c = u_l.c
-    rows_l = transpose(u_l, (0, 2, 3, 1))        # (n, h, w, c)
-    rows_r = transpose(u_r, (0, 2, 1, 3))        # (n, h, c, w)
-    scores = mul(batched_matmul(rows_l, rows_r), 1.0 / math.sqrt(c))
-    return CostVolume(values=scores)
+    k = u_l.dtype.type(1.0 / math.sqrt(u_l.c))
+    rows_l, rows_r = _rows(u_l.data), _rows(u_r.data)
+    scores = np.matmul(rows_l.swapaxes(2, 3), rows_r)
+    scores *= k
+    out = Tensor(scores)
+
+    def bwd(g):
+        du_l = _row_product(rows_r, g.swapaxes(2, 3), u_l.shape)
+        du_r = _row_product(rows_l, g, u_r.shape)
+        du_l *= k
+        du_r *= k
+        return du_l, du_r
+
+    _record("cost_matrix", (u_l, u_r), out, bwd)
+    return CostVolume(values=out)
+
+
+def carry(plan: Tensor, values: Tensor, to_left: bool) -> Tensor:
+    """Move (n, c, h, w) value features along each row through a plan.
+
+    With P the (w, w) plan of a row, ``to_left`` gathers right values at
+    left columns, out[:, i] = sum_j P[i, j] v[:, j]; otherwise it gathers
+    left values at right columns through P^T, out[:, j] = sum_i P[i, j] v[:, i].
+    """
+    n, c, h, w = values.shape
+    if plan.shape != (n, h, w, w):
+        raise ShapeError(f"plan shaped {plan.shape}, values need {(n, h, w, w)}")
+    p = plan.data
+    rows_v = _rows(values.data)
+    out = Tensor(_row_product(rows_v, p.swapaxes(2, 3) if to_left else p, values.shape))
+
+    def bwd(g):
+        rows_g = _rows(g)
+        dv = _row_product(rows_g, p if to_left else p.swapaxes(2, 3), values.shape)
+        a, b = (rows_g, rows_v) if to_left else (rows_v, rows_g)
+        return np.matmul(a.swapaxes(2, 3), b), dv
+
+    _record("carry", (plan, values), out, bwd)
+    return out
 
 
 def _dual_update(scores: np.ndarray, dual: np.ndarray, axis: int, work: np.ndarray,
@@ -327,15 +364,8 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p,
     value_r = apply_conv(x_r, spec, p, "value_r")
 
     plan = sinkhorn(cost_matrix(match_l, match_r), cfg)
-    t = plan.values
-
-    rows_value_r = transpose(value_r, (0, 2, 3, 1))              # (n, h, w, c)
-    rows_value_l = transpose(value_l, (0, 2, 3, 1))
-    to_left = transpose(batched_matmul(t, rows_value_r), (0, 3, 1, 2))
-    to_right = transpose(
-        batched_matmul(transpose(t, (0, 1, 3, 2)), rows_value_l), (0, 3, 1, 2)
-    )
-
+    to_left = carry(plan.values, value_r, to_left=True)
+    to_right = carry(plan.values, value_l, to_left=False)
     f_l = add(x_l, mul(p["fuse_scale_l"], to_left))
     f_r = add(x_r, mul(p["fuse_scale_r"], to_right))
     return f_l, f_r, plan

@@ -15,7 +15,7 @@ from . import tensor as tz
 from .model import ModelConfig, StereoPair, forward, init_model
 from .tensor import ConvSpec, Tensor, grad_check
 from .train import loss_total
-from .transport import CostVolume, sinkhorn
+from .transport import CostVolume, carry, cost_matrix, sinkhorn
 
 PRIMITIVE_TOLERANCE = 1e-4
 END_TO_END_TOLERANCE = 1e-3
@@ -63,7 +63,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("sum_all", [x], lambda p: tz.sum_all(p[0])),
         ("mean_all", [x], lambda p: tz.mean_all(p[0])),
         ("logsumexp", [x], lambda p: tz.mean_all(tz.logsumexp(p[0], axis=3))),
-        ("transpose", [x], lambda p: tz.sum_all(tz.mul(tz.transpose(p[0], (0, 2, 3, 1)), 2.0))),
         ("simple_gate", [x], lambda p: tz.mean_all(tz.simple_gate(p[0]))),
         ("global_avg_pool", [x], lambda p: tz.sum_all(tz.mul(tz.global_avg_pool(p[0]), tz.global_avg_pool(p[0])))),
         ("pixel_shuffle", [x], lambda p: tz.sum_all(tz.mul(tz.pixel_shuffle(p[0], 2), tz.pixel_shuffle(p[0], 2)))),
@@ -73,11 +72,16 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     checks.append(("dft2", [_rand(rng, (1, 2, 4, 6))],
                    lambda p: tz.mean_all(tz.mul(tz.dft2(p[0]), tz.dft2(p[0])))))
 
-    a = _rand(rng, (1, 3, 4, 5))
-    b = _rand(rng, (1, 3, 5, 2))
-    checks.append(
-        ("batched_matmul", [a, b],
-         lambda p: tz.sum_all(tz.mul(tz.batched_matmul(p[0], p[1]), tz.batched_matmul(p[0], p[1])))))
+    def squared(out):
+        return tz.sum_all(tz.mul(out, out))
+
+    u, v = _rand(rng, (2, 3, 4, 5)), _rand(rng, (2, 3, 4, 5))
+    plan = _rand(rng, (2, 4, 5, 5))
+    checks += [
+        ("cost_matrix", [u, v], lambda p: squared(cost_matrix(p[0], p[1]).values)),
+        ("carry_to_left", [plan, v], lambda p: squared(carry(p[0], p[1], to_left=True))),
+        ("carry_to_right", [plan, v], lambda p: squared(carry(p[0], p[1], to_left=False))),
+    ]
 
     conv_cases = [
         ("conv2d_full_3x3", ConvSpec(out_ch=5, in_ch=4, kh=3, kw=3)),

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config parsing, output formats, exit codes."""
 
+import dataclasses
 import struct
 import zlib
 
@@ -255,6 +256,15 @@ def _bad_utf8_name(blob):
     return blob.replace(b"intro.weight", b"\xffntro.weight", 1)
 
 
+def _first_dims(*dims):
+    # overwrite the four u32 dims of the first tensor, intro.weight, which
+    # follow its name and its rank byte
+    def mutate(blob):
+        at = blob.index(b"intro.weight") + len(b"intro.weight") + 1
+        return blob[:at] + struct.pack("<4I", *dims) + blob[at + 16:]
+    return mutate
+
+
 class TestInferWeightFaults:
     @pytest.mark.parametrize("mutate_store, mutate_blob", [
         (lambda s: _without(s, "head.bias"), None),
@@ -264,8 +274,12 @@ class TestInferWeightFaults:
         (None, _bad_utf8_name),
         (None, _set_word(32, 2**30)),
         (None, _set_word(36, 2**31)),
+        # element counts whose 64-bit product wraps to 0 and to a negative
+        (None, _first_dims(2**31, 2**31, 4, 1)),
+        (None, _first_dims(*[2**32 - 1] * 4)),
     ], ids=["missing_tensor", "extra_tensor", "misshapen_tensor", "even_kernel", "non_utf8_name",
-            "huge_effective_field", "huge_sinkhorn_iters"])
+            "huge_effective_field", "huge_sinkhorn_iters", "dims_wrap_to_zero",
+            "dims_wrap_negative"])
     def test_bad_weight_file_is_io_error(self, png_pair, tmp_path, capsys,
                                          mutate_store, mutate_blob):
         left, right = png_pair
@@ -306,6 +320,34 @@ class TestInferWeightFaults:
         assert code == cli.EXIT_IO
         assert err.startswith(f"error: invalid config block: {field} must be")
         assert "Traceback" not in err
+
+
+class TestNonFiniteOutput:
+    # a NaN head bias in both views, or (separate view weights) only in the
+    # right view, whose PNG would be written second
+    @pytest.mark.parametrize("cfg, bias", [
+        (TINY, "head.bias"),
+        (dataclasses.replace(TINY, share_view_weights=False), "right.head.bias"),
+    ], ids=["both_views", "right_view"])
+    def test_nan_output_is_numeric_error_and_writes_nothing(self, png_pair, tmp_path, capsys,
+                                                            cfg, bias):
+        left, right = png_pair
+        store = init_model(cfg, seed=0)
+        nan_bias = Tensor(np.full(store[bias].shape, np.nan, np.float32))
+        weights = tmp_path / "model.msin"
+        save_weights(WeightStore(store.config, [
+            (n, nan_bias if n == bias else t) for n, t in store.items()
+        ]), weights)
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERIC
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line] == [
+            "error: cannot quantize an image with NaN or infinite values"]
+        assert list(tmp_path.glob("**/*_sr.png")) == []
 
 
 class TestOsErrors:

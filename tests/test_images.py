@@ -112,6 +112,13 @@ class TestImageBuffer:
         buf = ImageBuffer.from_tensor(t)
         np.testing.assert_array_equal(buf.pixels[:, :, 0], [[0, 0], [255, 255]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_tensor_rejects_non_finite(self, bad):
+        data = np.full((1, 3, 2, 2), 0.5, np.float32)
+        data[0, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ImageBuffer.from_tensor(Tensor(data))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ShapeError):
             ImageBuffer(pixels=np.zeros((4, 4), np.uint8))

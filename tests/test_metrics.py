@@ -66,6 +66,18 @@ class TestPsnr:
         with pytest.raises(ShapeError):
             mt.psnr(image(0), image(0, (1, 3, 14, 18)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("sides", [[0], [1], [0, 1]], ids=["first", "second", "both"])
+    def test_non_finite_input_rejected(self, bad, sides):
+        # a NaN once scored the 100 dB cap, and inf raised a math domain error
+        pair = [image(0), image(0)]
+        for side in sides:
+            data = pair[side].data.copy()
+            data[0, 2, 3, 4] = bad
+            pair[side] = Tensor(data)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            mt.psnr(*pair)
+
 
 class TestSsim:
     def test_self_similarity_is_exactly_one(self):

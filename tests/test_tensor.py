@@ -327,37 +327,6 @@ class TestDft2:
         np.testing.assert_allclose(im_c.data, a * im_x.data + b * im_y.data, atol=1e-4)
 
 
-class TestBatchedMatmul:
-    def test_identity_factor(self):
-        rng = np.random.default_rng(12)
-        a = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32))
-        eye = Tensor(np.broadcast_to(np.eye(3, dtype=np.float32), (1, 2, 3, 3)).copy())
-        np.testing.assert_allclose(tz.batched_matmul(a, eye).data, a.data, atol=1e-6)
-
-    def test_outer_product_case(self):
-        a = tz.tensor(np.array([[2.0], [3.0]]).reshape(1, 1, 2, 1))
-        b = tz.tensor(np.array([[4.0, 5.0]]).reshape(1, 1, 1, 2))
-        out = tz.batched_matmul(a, b)
-        np.testing.assert_allclose(out.data[0, 0], [[8.0, 10.0], [12.0, 15.0]])
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(1, 4, 4, 3)).astype(np.float32)
-        b = rng.normal(size=(1, 4, 3, 4)).astype(np.float32)
-        want = np.zeros((1, 4, 4, 4))
-        for r in range(4):
-            for i in range(4):
-                for j in range(4):
-                    for k in range(3):
-                        want[0, r, i, j] += a[0, r, i, k] * b[0, r, k, j]
-        got = tz.batched_matmul(Tensor(a), Tensor(b)).data
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError, match="inner"):
-            tz.batched_matmul(tz.zeros((1, 1, 2, 3)), tz.zeros((1, 1, 2, 3)))
-
-
 class TestBilinearUpsample:
     def test_r1_identity(self):
         x = tz.tensor(np.random.default_rng(14).normal(size=(1, 2, 3, 4)))

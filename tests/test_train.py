@@ -8,6 +8,7 @@ import pytest
 
 from stereosr import train as tr
 from stereosr import tensor as tz
+from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.model import ModelConfig, StereoPair, forward, init_model
 from stereosr.tensor import Tensor
@@ -200,6 +201,26 @@ class TestOverfit:
             with pytest.raises(tr.TrainingDivergedError) as err:
                 tr.overfit(lr, hr, self._cfg(), steps=8, seed=8)
         assert err.value.step >= 1
+
+
+class TestTapeCoverage:
+    def test_every_recorded_primitive_has_a_gradient_check(self):
+        # one training step at the acceptance config; a record name is
+        # covered by a check of the same name or one that extends it
+        # (conv2d by conv2d_1x1, abs by absolute)
+        cfg = ModelConfig(n_blocks=2, width=16)
+        rng = np.random.default_rng(8)
+        lr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 24, 72)).astype(np.float32))
+                          for _ in range(2)))
+        hr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 96, 288)).astype(np.float32))
+                          for _ in range(2)))
+        with tz.GradTape() as tape:
+            tr.loss_total(forward(lr, init_model(cfg, 0), cfg), hr)
+        recorded = {rec.name for rec in tape._records}
+        checked = [r.name for r in verify.primitive_checks()]
+        assert {"cost_matrix", "carry", "sinkhorn", "conv2d", "abs"} <= recorded
+        assert [name for name in sorted(recorded)
+                if not any(row.startswith(name) for row in checked)] == []
 
 
 class TestLogFormat:

@@ -2,6 +2,7 @@
 fusion semantics, and differentiability."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -156,14 +157,16 @@ class TestFusedSinkhorn:
         assert len(calls) == falls_back
 
     def test_taped_stage_records_one_sinkhorn(self):
-        c = 4
+        n, c, h, w = 2, 4, 3, 5
         p = init_params(ot.deam_layout(c), np.random.default_rng(20))
-        x = Tensor(np.random.default_rng(21).normal(size=(1, c, 3, 5)).astype(np.float32))
+        x = Tensor(np.random.default_rng(21).normal(size=(n, c, h, w)).astype(np.float32))
         with tz.GradTape() as tape:
             ot.deam_forward(x, x, p)
-        names = [rec.name for rec in tape._records]
-        assert names.count("sinkhorn") == 1
-        assert "logsumexp" not in names
+        names = Counter(rec.name for rec in tape._records)
+        assert names == {"layer_norm": 2, "conv2d": 4, "cost_matrix": 1, "sinkhorn": 1,
+                         "carry": 2, "mul": 2, "add": 2}
+        volumes = [rec.name for rec in tape._records if rec.output.shape == (n, h, w, w)]
+        assert volumes == ["cost_matrix", "sinkhorn"]
 
 
 class TestCostMatrix:
@@ -194,6 +197,62 @@ class TestCostMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(tz.ShapeError):
             ot.cost_matrix(tz.zeros((1, 2, 3, 4)), tz.zeros((1, 2, 3, 5)))
+
+
+def _taped(f, inputs, cot):
+    """Output of ``f`` and the cotangent of each input for <out, cot>."""
+    with tz.GradTape() as tape:
+        out = f(*inputs)
+        loss = tz.sum_all(tz.mul(out, Tensor(cot)))
+    return out.data, tape.gradients(loss, inputs)
+
+
+class TestRowProducts:
+    """``cost_matrix`` and ``carry`` against float64 einsum: forward, and
+    the adjoint applied to a random cotangent."""
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    def _assert_close(self, got, want, dtype):
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= self.TOL[dtype] * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cost_matrix_matches_einsum(self, dtype, n):
+        rng = np.random.default_rng(40 + n)
+        c, h, w = 3, 4, 6
+        u_l, u_r = (rng.normal(size=(n, c, h, w)) for _ in range(2))
+        cot = rng.normal(size=(n, h, w, w))
+        k = 1.0 / math.sqrt(c)
+        inputs = [Tensor(a.astype(dtype)) for a in (u_l, u_r)]
+        out, (du_l, du_r) = _taped(lambda a, b: ot.cost_matrix(a, b).values, inputs,
+                                   cot.astype(dtype))
+        self._assert_close(out, k * np.einsum("nchi,nchj->nhij", u_l, u_r), dtype)
+        self._assert_close(du_l, k * np.einsum("nhij,nchj->nchi", cot, u_r), dtype)
+        self._assert_close(du_r, k * np.einsum("nhij,nchi->nchj", cot, u_l), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("to_left", [True, False], ids=["to_left", "to_right"])
+    def test_carry_matches_einsum(self, dtype, n, to_left):
+        rng = np.random.default_rng(50 + n)
+        c, h, w = 3, 4, 6
+        plan = rng.uniform(size=(n, h, w, w))
+        values = rng.normal(size=(n, c, h, w))
+        cot = rng.normal(size=(n, c, h, w))
+        inputs = [Tensor(a.astype(dtype)) for a in (plan, values)]
+        out, (d_plan, d_values) = _taped(lambda p, v: ot.carry(p, v, to_left), inputs,
+                                         cot.astype(dtype))
+        # to_left reads values at plan columns j, to_right at plan rows i
+        src, dst = ("nchj", "nchi") if to_left else ("nchi", "nchj")
+        self._assert_close(out, np.einsum(f"nhij,{src}->{dst}", plan, values), dtype)
+        self._assert_close(d_plan, np.einsum(f"{dst},{src}->nhij", cot, values), dtype)
+        self._assert_close(d_values, np.einsum(f"nhij,{dst}->{src}", plan, cot), dtype)
+
+    def test_carry_plan_shape_mismatch_rejected(self):
+        with pytest.raises(tz.ShapeError, match="plan"):
+            ot.carry(tz.zeros((1, 3, 5, 5)), tz.zeros((1, 2, 4, 5)), to_left=True)
 
 
 class TestSinkhorn:
@@ -335,8 +394,7 @@ class TestDeamForward:
         x_l = Tensor(rng.normal(size=(1, c, h, w)).astype(np.float32))
         value_r = Tensor(rng.normal(size=(1, c, h, w)).astype(np.float32))
         eye_plan = Tensor(np.broadcast_to(np.eye(w, dtype=np.float32), (1, h, w, w)).copy())
-        rows = tz.transpose(value_r, (0, 2, 3, 1))
-        moved = tz.transpose(tz.batched_matmul(eye_plan, rows), (0, 3, 1, 2))
+        moved = ot.carry(eye_plan, value_r, to_left=True)
         fused = tz.add(x_l, tz.mul(tz.full((1, c, 1, 1), 1.0), moved))
         np.testing.assert_allclose(fused.data, x_l.data + value_r.data, atol=1e-6)
 
