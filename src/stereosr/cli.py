@@ -135,13 +135,15 @@ def _load_pair(left_path, right_path) -> StereoPair:
     return StereoPair(left=left, right=right)
 
 
-def _check_cost_volume(h: int, w: int) -> None:
-    """Reject a low-resolution size whose cost volume, h * w * w elements,
-    is above MAX_COST_VOLUME."""
-    if h * w * w > MAX_COST_VOLUME:
+def _check_cost_volume(h: int, w: int, stages: int = 1) -> None:
+    """Reject a low-resolution size whose cost volumes, h * w * w elements
+    for each of ``stages`` cross-view stages held at once, add up to more
+    than MAX_COST_VOLUME."""
+    if h * w * w * stages > MAX_COST_VOLUME:
+        held = f" for each of {stages} cross-view stages" if stages > 1 else ""
         raise UsageError(
             f"low-resolution size {h}x{w} needs a cost volume of h*w*w = {h * w * w} "
-            f"elements, above the bound of {MAX_COST_VOLUME}"
+            f"elements{held}, above the bound of {MAX_COST_VOLUME}"
         )
 
 
@@ -183,7 +185,8 @@ def _cmd_overfit(args) -> int:
         left=_crop_to_multiple(hr.left, cfg.scale),
         right=_crop_to_multiple(hr.right, cfg.scale),
     )
-    _check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale)
+    # a taped step holds every stage's volumes until the backward
+    _check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale, len(cfg.deam_stages()))
     lr = StereoPair(
         left=bicubic_downsample(hr.left, cfg.scale),
         right=bicubic_downsample(hr.right, cfg.scale),

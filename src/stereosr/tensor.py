@@ -344,52 +344,52 @@ class ConvSpec:
         return ((self.kh - 1) * self.dilation[0] // 2, (self.kw - 1) * self.dilation[1] // 2)
 
 
-def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
+def _taps(x: np.ndarray, spec: ConvSpec) -> tuple[list[np.ndarray], int]:
+    """One contiguous (n, c, h * W) slice per kernel tap, in row-major tap
+    order, and the frame width W = w + pw.  The input is zero-padded once
+    into a flat (n, c, H * W + 2 * pw) frame of H = h + 2 * ph rows, each
+    led by pw zeros that also pad the row before on the right.  Tap (i, j)
+    starts at i * dh * W + j * dw, so its entry r * W + col holds the value
+    that kernel entry (i, j) multiplies at output site (r, col) when col < w,
+    and spill when col >= w."""
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    out[:, :, ph:ph + h, pw:pw + w] = x
-    return out
-
-
-def _taps(x: np.ndarray, spec: ConvSpec) -> list[np.ndarray]:
-    """One (n, c, h, w) view of the zero-padded input per kernel tap, in
-    row-major tap order: the tap (i, j) view holds, at each output site,
-    the input value that kernel entry (i, j) multiplies."""
-    n, c, h, w = x.shape
-    dh, dw = spec.dilation
-    padded = _pad_spatial(x, *spec.padding)
-    return [padded[:, :, i * dh:i * dh + h, j * dw:j * dw + w]
-            for i in range(spec.kh) for j in range(spec.kw)]
-
-
-def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    # (n, in_ch * kh * kw, h * w), rows ordered like a flattened kernel
-    n, c, h, w = x.shape
-    return np.stack(_taps(x, spec), axis=2).reshape(n, c * spec.kh * spec.kw, h * w)
+    (ph, pw), (dh, dw) = spec.padding, spec.dilation
+    if ph == pw == 0:
+        return [x.reshape(n, c, h * w)], w
+    width, height = w + pw, h + 2 * ph
+    frame = np.zeros((n, c, height * width + 2 * pw), dtype=x.dtype)
+    frame[..., :height * width].reshape(n, c, height, width, copy=False)[..., ph:ph + h, pw:] = x
+    starts = [i * dh * width + j * dw for i in range(spec.kh) for j in range(spec.kw)]
+    return [frame[..., s:s + h * width] for s in starts], width
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     n, cin, h, wd = x.shape
+    taps, width = _taps(x, spec)
     if spec.groups > 1:
         # depthwise: accumulate the taps, each scaled by its kernel column
-        columns = w.reshape(cin, -1).T.reshape(-1, 1, cin, 1, 1)
-        out = np.zeros((n, cin, h, wd), dtype=x.dtype)
-        for tap, column in zip(_taps(x, spec), columns):
+        columns = w.reshape(cin, -1).T.reshape(-1, 1, cin, 1)
+        out = taps[0] * columns[0]
+        for tap, column in zip(taps[1:], columns[1:]):
             out += tap * column
-        return out
-    flat = np.matmul(w.reshape(spec.out_ch, -1), _columns(x, spec))
-    return flat.reshape(n, spec.out_ch, h, wd)
+    else:
+        # stacked rows are ordered like a flattened kernel; rebinding frees the frame
+        taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
+        out = np.matmul(w.reshape(spec.out_ch, -1), taps)
+    return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
 
 
 def _conv_grad_w(x: np.ndarray, gout: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    if spec.groups > 1:
-        per_tap = [(tap * gout).sum(axis=(0, 2, 3)) for tap in _taps(x, spec)]
+    n, c, h, w = gout.shape
+    taps, width = _taps(x, spec)
+    # the cotangent laid out like a tap, its zero spill cancelling the tap's
+    g = gout if width == w else np.pad(gout, ((0, 0), (0, 0), (0, 0), (0, width - w)))
+    g = g.reshape(n, c, h * width)
+    if spec.groups > 1:  # one dot product per (n, c) and tap
+        per_tap = [np.matmul(tap[:, :, None, :], g[..., None]).sum(axis=(0, 2, 3)) for tap in taps]
         return np.stack(per_tap, axis=1).reshape(spec.weight_shape)
-    n = x.shape[0]
-    flat = np.tensordot(gout.reshape(n, spec.out_ch, -1), _columns(x, spec), axes=([0, 2], [0, 2]))
-    return flat.reshape(spec.weight_shape)
+    taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
+    return np.tensordot(g, taps, axes=([0, 2], [0, 2])).reshape(spec.weight_shape)
 
 
 def _conv_grad_x(gout: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -401,7 +401,7 @@ def _conv_grad_x(gout: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out_ch=spec.in_ch, in_ch=spec.out_ch, kh=spec.kh, kw=spec.kw,
         groups=spec.groups, dilation=spec.dilation,
     )
-    return _conv_forward(gout, wt, spec_t)
+    return np.ascontiguousarray(_conv_forward(gout, wt, spec_t))
 
 
 def conv2d(x: Tensor, spec: ConvSpec, weights: Tensor, bias: Tensor) -> Tensor:

@@ -88,6 +88,7 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("conv2d_1x1", ConvSpec(out_ch=6, in_ch=4, kh=1, kw=1)),
         ("conv2d_depthwise", ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4)),
         ("conv2d_dilated_sep", ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2))),
+        ("conv2d_dilated_sep_v", ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(2, 1))),
     ]
     for name, spec in conv_cases:
         w = _rand(rng, spec.weight_shape)

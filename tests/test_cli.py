@@ -465,6 +465,34 @@ class TestCostVolumeBound:
         assert "1x8192" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_blocks, single, admitted", [
+        (128, "false", True), (129, "false", False), (256, "false", False), (256, "true", True),
+    ], ids=["128_stages_on_bound", "129_stages", "256_stages", "256_blocks_one_stage"])
+    def test_overfit_counts_the_stages(self, tmp_path, capsys, monkeypatch,
+                                       n_blocks, single, admitted):
+        # 16x128 LR holds 2^18 elements per volume, so 128 stages reach 2^25
+        class Reached(Exception):
+            pass
+
+        def overfit(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "overfit", overfit)
+        left, right = _flat_pair(tmp_path, 32, 256)
+        config = tmp_path / "model.cfg"
+        config.write_text(f"n_blocks = {n_blocks}\nwidth = 4\nscale = 2\n"
+                          f"single_interaction = {single}\n")
+        argv = ["overfit", "--left", str(left), "--right", str(right),
+                "--config", str(config), "--steps", "1", "--out", str(tmp_path / "fit.msin")]
+        if admitted:
+            with pytest.raises(Reached):
+                cli.main(argv)
+            return
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "16x128" in err and f"{n_blocks} cross-view stages" in err
+
 
 class TestCountArguments:
     @pytest.mark.parametrize("argv", [

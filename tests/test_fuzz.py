@@ -1,17 +1,23 @@
-"""Property-based fuzzing of the two binary readers.
+"""Property-based fuzzing of the two binary readers and the config reader.
 
 Valid PNG and weight-file bytes are mutated field by field (chunk lengths
 and CRCs, IHDR fields, filter bytes, the zlib stream, header words, name
 lengths, ranks, dims) and by raw byte edits and truncation.  Whatever the
 mutation, ``decode_png`` either decodes or raises ``PngError``, and
 ``load_weights`` either loads or raises ``WeightFormatError``: no other
-exception escapes.
+exception escapes.  A valid config file is mutated line by line (keys,
+values, separators, comments, branch specs, duplicated and unknown keys,
+over-long digit strings, non-UTF-8 bytes): ``parse_config_file`` either
+parses it or raises ``UsageError``, and ``stereosr overfit`` then exits 1
+with one ``error:`` line.
 
 The runs are reproducible: examples come from a fixed seed
 (``derandomize=True``) and no example database is read or written.
 """
 
+import contextlib
 import functools
+import io
 import os
 import struct
 import tempfile
@@ -22,8 +28,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from stereosr import cli
 from stereosr.blocks import LskaBranch
-from stereosr.images import PngError, decode_png
+from stereosr.images import ImageBuffer, PngError, decode_png, save_png
 from stereosr.model import ModelConfig, WeightFormatError, init_model, load_weights, save_weights
 
 FUZZ = settings(derandomize=True, database=None, max_examples=500, deadline=None,
@@ -205,3 +212,116 @@ def test_mutated_weight_file_raises_only_weight_format_error(weight_path, edits,
 def test_unmutated_weight_file_loads(weight_path):
     weight_path.write_bytes(_mutated_weights([], None))
     assert len(load_weights(weight_path)) == len(_weight_base()[1][1])
+
+
+# ---------------------------------------------------------------------------
+# Config files
+# ---------------------------------------------------------------------------
+
+CONFIG_BASE = [
+    "# a valid config", "n_blocks = 2", "width = 16", "scale = 2", "sinkhorn_iters = 5",
+    "share_view_weights = false", "single_interaction = true", "global_residual = true",
+    "lska_branches = 3:3:1, 5:7:2",
+]
+# texts near the edges of what the reader accepts, plus arbitrary text
+CONFIG_TEXT = st.one_of(
+    st.sampled_from(["", " ", "0", "-1", "1", "256", "257", "2**31", "1e3", "0x10", "1_0",
+                     "+4", "\u0663", "nan", "true", "FALSE", "yes", "3:3:1", "3:3", "3:3:1,",
+                     ",", "3:3:1:1", "-3:3:1", "3:3:0", "4:3:1", "127:127:1", "99:99:99",
+                     "9" * 4301, "n_blocks", "lska_branches", "=", "#", "\t", "\r"]),
+    st.text(max_size=12),
+    st.integers(-2, 2**70).map(str),
+)
+# a branch spec: fields and branches of any count, small and large integers
+BRANCH_SPEC = st.lists(
+    st.lists(st.one_of(st.integers(-2, 13), st.integers(-2, 2**70)).map(str),
+             min_size=0, max_size=4).map(":".join),
+    min_size=0, max_size=10).map(", ".join)
+# 0 to 12 valid branches, around the bound of 8
+BRANCH_COUNT = st.integers(0, 12).map(lambda k: ", ".join(["3:3:1"] * k))
+# the integer settings (lines 1 to 4 of the base) near and past their bounds
+SETTING = st.tuples(st.just("value"), st.integers(1, 4), st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "5", "255", "256", "257", "1000", "1001"]),
+    st.integers(-2, 2**70).map(str)))
+CONFIG_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["key", "value", "separator", "comment", "insert"]),
+              st.integers(0, 2**16), CONFIG_TEXT),
+    st.tuples(st.just("branches"), st.just(0), BRANCH_SPEC | BRANCH_COUNT),
+    SETTING,
+    st.tuples(st.sampled_from(["duplicate", "drop"]), st.integers(0, 2**16), st.just("")),
+    st.tuples(st.just("byte"), st.integers(0, 2**16), st.integers(0, 255)),
+), min_size=1, max_size=4)
+
+
+def _mutated_config(edits) -> bytes:
+    lines = list(CONFIG_BASE)
+    byte_edits = []
+    for kind, which, new in edits:
+        i = which % len(lines) if lines else 0
+        if kind == "byte":
+            byte_edits.append((which, new))
+        elif kind == "branches":
+            lines = [line for line in lines if not line.startswith("lska_branches")]
+            lines.append("lska_branches = " + new)
+        elif kind == "insert":
+            lines.insert(i, new)
+        elif not lines:
+            continue
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "comment":
+            at = which % (len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + "#" + new + lines[i][at:]
+        else:
+            key, sep, value = lines[i].partition("=")
+            if kind == "key":
+                key = new
+            elif kind == "value":
+                value = " " + new
+            else:
+                sep = new
+            lines[i] = key + sep + value
+    blob = bytearray("\n".join(lines).encode("utf-8"))
+    for which, value in byte_edits:
+        if blob:
+            blob[which % len(blob)] = value
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def config_run(tmp_path_factory):
+    """A config path and the argv of an `overfit` run that reads it."""
+    tmp = tmp_path_factory.mktemp("config")
+    views = []
+    for name in ("left.png", "right.png"):
+        views.append(str(tmp / name))
+        save_png(ImageBuffer(pixels=np.full((8, 8, 3), 128, np.uint8)), views[-1])
+    config = tmp / "model.cfg"
+    return config, ["overfit", "--left", views[0], "--right", views[1], "--config", str(config),
+                    "--steps", "0", "--out", str(tmp / "fit.msin")]
+
+
+@FUZZ
+@given(edits=CONFIG_EDITS)
+@example(edits=[("value", 1, "9" * 4301)])
+@example(edits=[("byte", 3, 0xFF)])
+def test_mutated_config_raises_only_usage_error(config_run, edits):
+    config, argv = config_run
+    config.write_bytes(_mutated_config(edits))
+    try:
+        cli.parse_config_file(config)
+    except cli.UsageError:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) == cli.EXIT_USAGE
+        lines = err.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[:1]
+        assert "Traceback" not in err.getvalue()
+
+
+def test_unmutated_config_parses(config_run):
+    config, _ = config_run
+    config.write_bytes(_mutated_config([]))
+    assert cli.parse_config_file(config).n_blocks == 2

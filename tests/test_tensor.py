@@ -63,14 +63,24 @@ def conv2d_adjoint_oracle(x, w, g, spec):
 
 
 # one spec per convolution path: full 3x3, 1x1, depthwise 3x3, dilated
-# depthwise 1x5 and 5x1
+# depthwise 1x5 and 5x1; then kernel fields wider than the 6x7 input (a
+# padding of 15 on both sides) and a dilated full 3x3
 ORACLE_SPECS = [
     ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3),
     ConvSpec(out_ch=5, in_ch=4, kh=1, kw=1),
     ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4),
     ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2)),
     ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(3, 1)),
+    ConvSpec(out_ch=4, in_ch=4, kh=1, kw=11, groups=4, dilation=(1, 3)),
+    ConvSpec(out_ch=4, in_ch=4, kh=11, kw=1, groups=4, dilation=(3, 1)),
+    ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3, dilation=(2, 2)),
 ]
+
+# the frame's edge cases, each run on every spec: a 1x1 input, float64,
+# and a channels-last layout as ImageBuffer.to_tensor returns it
+ORACLE_INPUTS = {"1x1": ((1, 1), np.float32, False),
+                 "float64": ((6, 7), np.float64, False),
+                 "hwc": ((6, 7), np.float32, True)}
 
 
 class TestTensorType:
@@ -114,27 +124,36 @@ class TestConv2d:
         want = conv2d_oracle(x, w, b, spec)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("spec, n", [
-        pytest.param(spec, n, id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
+    @pytest.mark.parametrize("spec, n, size, dtype, hwc", [
+        pytest.param(spec, n, (6, 7), np.float32, False,
+                     id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
         for n in (2, 1) for i, spec in enumerate(ORACLE_SPECS)
+    ] + [
+        pytest.param(spec, 1, *case, id=f"spec{i}-{name}")
+        for name, case in ORACLE_INPUTS.items() for i, spec in enumerate(ORACLE_SPECS)
     ])
-    def test_all_paths_match_oracle(self, spec, n):
+    def test_all_paths_match_oracle(self, spec, n, size, dtype, hwc):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(n, spec.in_ch, 6, 7)).astype(np.float32)
-        w = rng.normal(size=spec.weight_shape).astype(np.float32)
-        b = rng.normal(size=(1, spec.out_ch, 1, 1)).astype(np.float32)
-        g = rng.normal(size=(n, spec.out_ch, 6, 7)).astype(np.float32)
+        x = rng.normal(size=(n, spec.in_ch, *size)).astype(dtype)
+        if hwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=spec.weight_shape).astype(dtype)
+        b = rng.normal(size=(1, spec.out_ch, 1, 1)).astype(dtype)
+        g = rng.normal(size=(n, spec.out_ch, *size)).astype(dtype)
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
         with GradTape() as tape:
             out = tz.conv2d(inputs[0], spec, inputs[1], inputs[2])
             loss = tz.sum_all(tz.mul(out, Tensor(g)))
         got = tape.gradients(loss, inputs)
+        assert out.data.flags.c_contiguous and got[0].flags.c_contiguous
         x64, w64 = x.astype(np.float64), w.astype(np.float64)
         want = conv2d_oracle(x64, w64, b.astype(np.float64), spec)
-        np.testing.assert_allclose(out.data, want, atol=1e-5)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(out.data, want, atol=tol)
         for name, grad, oracle in zip(("dx", "dW", "db"), got,
                                       conv2d_adjoint_oracle(x64, w64, g.astype(np.float64), spec)):
-            np.testing.assert_allclose(grad, oracle, atol=1e-4, err_msg=name)
+            assert grad.dtype == dtype, name
+            np.testing.assert_allclose(grad, oracle, atol=10 * tol, err_msg=name)
 
     def test_channel_mismatch_names_dimension(self):
         x = tz.zeros((1, 3, 4, 4))
