@@ -76,9 +76,6 @@ class ModelConfig:
                 f"sinkhorn_iters must be in [1, {MAX_SINKHORN_ITERS}], got {self.sinkhorn_iters}"
             )
 
-    def sinkhorn_config(self) -> SinkhornConfig:
-        return SinkhornConfig(iters=self.sinkhorn_iters)
-
     def deam_stages(self) -> tuple[int, ...]:
         """Block indices after which a cross-view stage runs."""
         if self.single_interaction:
@@ -265,7 +262,7 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
     block = mscab_layout(cfg.width, cfg.lska_branches)
     deam = deam_layout(cfg.width)
     deam_at = set(cfg.deam_stages())
-    sk = cfg.sinkhorn_config()
+    sk = SinkhornConfig(iters=cfg.sinkhorn_iters)
     for i in range(cfg.n_blocks):
         p_l = _params(store, f"{left}block.{i}.", block)
         p_r = _params(store, f"{right}block.{i}.", block)

@@ -1,13 +1,13 @@
 """Rank-4 tensors with reverse-mode differentiation.
 
 Values are immutable (batch, channels, height, width) arrays, float32 by
-default.  Every operation here is a primitive with a paired backward rule;
-while a :class:`GradTape` is active the primitives record themselves, and
-replaying the tape in reverse yields exact loss gradients for arbitrary
-compositions.  Each record holds one output tensor, and its backward rule
-maps that output's cotangent to one cotangent per input.  float64 is
-supported throughout so numerical checks can run at higher precision than
-the training path.
+default.  Every operation here but the bilinear resampler is a primitive
+with a paired backward rule; while a :class:`GradTape` is active the
+primitives record themselves, and replaying the tape in reverse yields
+exact loss gradients for arbitrary compositions.  Each record holds one
+output tensor, and its backward rule maps that output's cotangent to one
+cotangent per input.  float64 is supported throughout so numerical checks
+can run at higher precision than the training path.
 """
 
 from __future__ import annotations
@@ -247,13 +247,6 @@ def neg(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     _record("exp", (a,), out, lambda g: (g * out.data,))
-    return out
-
-
-def absolute(a: Tensor) -> Tensor:
-    """Elementwise |a|; the backward rule uses sign with sign(0) = 0."""
-    out = Tensor(np.abs(a.data))
-    _record("abs", (a,), out, lambda g: (g * np.sign(a.data),))
     return out
 
 
@@ -513,22 +506,37 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 # Fourier transform
 # ---------------------------------------------------------------------------
 
-def dft2(x: Tensor) -> Tensor:
-    """Unnormalized 2-D discrete Fourier transform over (h, w) per channel.
+def spectral_l1(d: Tensor) -> Tensor:
+    """Mean absolute value of the real and the imaginary parts of the
+    unnormalized 2-D DFT over (h, w) of each channel of ``d``, as a
+    (1, 1, 1, 1) tensor; the two parts count as separate elements, so the
+    divisor is 2 * d.numel.
 
-    X[u, v] = sum_{h, w} x[h, w] * exp(-2*pi*i*(u*h/H + v*w/W)), returned as
-    one (n, 2c, h, w) tensor: real parts in channels [0, c), imaginary parts
-    in [c, 2c).
+    A real signal's spectrum is Hermitian, X[-u, -v] = conj(X[u, v]), and
+    conjugation keeps |Re| and |Im|, so one rfft2 half suffices: columns 0
+    and, for even w, w / 2 are their own mirror and count once, every other
+    column counts twice.  The backward is the inverse transform of the
+    signs, sign(0) = 0.
     """
-    n, c, h, w = x.shape
-    coeffs = np.fft.fft2(x.data, axes=(2, 3))
-    out = Tensor(np.concatenate([coeffs.real, coeffs.imag], axis=1).astype(x.data.dtype))
+    h, w = d.h, d.w
+    half = np.fft.rfft2(d.data)
+    weight = np.full(half.shape[-1], 2, dtype=d.dtype)
+    weight[0] = 1
+    if w % 2 == 0:
+        weight[-1] = 1
+    mags = np.abs(half.real)
+    mags += np.abs(half.imag)
+    mags *= weight
+    inv = d.dtype.type(1.0 / (2 * d.numel))
+    out = Tensor((mags.sum(dtype=d.dtype) * inv).reshape(1, 1, 1, 1))
 
     def bwd(g):
-        grad = np.fft.ifft2(g[:, :c] + 1j * g[:, c:], axes=(2, 3)).real * (h * w)
-        return (grad.astype(x.data.dtype),)
+        # irfft2 divides by h * w, which the unnormalized transform's adjoint lacks
+        grad = np.fft.irfft2(np.sign(half.real) + 1j * np.sign(half.imag), s=(h, w))
+        grad *= g.reshape(()) * (h * w / (2 * d.numel))
+        return (grad.astype(d.dtype, copy=False),)
 
-    _record("dft2", (x,), out, bwd)
+    _record("spectral_l1", (d,), out, bwd)
     return out
 
 
@@ -547,7 +555,8 @@ def _bilinear_axis(size_in: int, r: int, dtype):
 
 def bilinear_upsample(x: Tensor, r: int) -> Tensor:
     """Bilinear interpolation to (h*r, w*r), half-pixel (align-corners-false)
-    sample positions with edge clamping."""
+    sample positions with edge clamping.  Not a primitive: the tape does not
+    record it, since the network only resamples its input image."""
     if r < 1:
         raise ShapeError(f"upscale factor must be >= 1, got {r}")
     n, c, h, w = x.shape
@@ -556,19 +565,7 @@ def bilinear_upsample(x: Tensor, r: int) -> Tensor:
     j0, j1, tw = _bilinear_axis(w, r, dt)
     th_col = th[:, None]
     rows = x.data[:, :, i0, :] * (1 - th_col) + x.data[:, :, i1, :] * th_col
-    out = Tensor(rows[:, :, :, j0] * (1 - tw) + rows[:, :, :, j1] * tw)
-
-    def bwd(g):
-        grows = np.zeros_like(rows)
-        np.add.at(grows, (slice(None), slice(None), slice(None), j0), g * (1 - tw))
-        np.add.at(grows, (slice(None), slice(None), slice(None), j1), g * tw)
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), i0, slice(None)), grows * (1 - th_col))
-        np.add.at(dx, (slice(None), slice(None), i1, slice(None)), grows * th_col)
-        return (dx,)
-
-    _record("bilinear_upsample", (x,), out, bwd)
-    return out
+    return Tensor(rows[:, :, :, j0] * (1 - tw) + rows[:, :, :, j1] * tw)
 
 
 # ---------------------------------------------------------------------------

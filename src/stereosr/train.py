@@ -10,17 +10,7 @@ import numpy as np
 
 from .metrics import psnr
 from .model import ModelConfig, StereoPair, WeightStore, forward, init_model
-from .tensor import (
-    GradTape,
-    ShapeError,
-    Tensor,
-    absolute,
-    add,
-    dft2,
-    mean_all,
-    mul,
-    sub,
-)
+from .tensor import GradTape, ShapeError, Tensor, add, mean_all, mul, spectral_l1, sub
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -33,8 +23,9 @@ class TrainingDivergedError(ArithmeticError):
 
 
 # The training recipe: MSE plus FREQ_WEIGHT times the L1 of the DFT
-# coefficients, Lion with Chen et al.'s published betas and no weight decay,
-# and a cosine schedule from LR_MAX to LR_MIN.
+# coefficients (the FFT loss of Cho et al., ICCV 2021), Lion with Chen et
+# al.'s published betas and no weight decay, and a cosine schedule from
+# LR_MAX to LR_MIN.
 FREQ_WEIGHT = 0.01
 LR_MAX = 3e-4
 LR_MIN = 1e-8
@@ -43,11 +34,9 @@ BETA2 = 0.99
 
 
 def _view_loss(sr: Tensor, hr: Tensor) -> Tensor:
-    diff = sub(sr, hr)
-    spatial = mean_all(mul(diff, diff))
-    # real and imaginary parts are separate elements of the L1 mean
-    freq = mean_all(absolute(sub(dft2(sr), dft2(hr))))
-    return add(spatial, mul(freq, FREQ_WEIGHT))
+    # F(sr) - F(hr) = F(sr - hr): both terms read the one residual
+    d = sub(sr, hr)
+    return add(mean_all(mul(d, d)), mul(spectral_l1(d), FREQ_WEIGHT))
 
 
 def loss_total(sr: StereoPair, hr: StereoPair) -> Tensor:

@@ -36,14 +36,6 @@ def _rand(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape).astype(np.float32))
 
 
-def _rand_nonzero(rng, shape, floor=0.2):
-    # magnitudes bounded away from zero so |x| stays differentiable under
-    # the finite-difference perturbation
-    mag = rng.uniform(floor, 1.0, size=shape)
-    sign = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
-    return Tensor((mag * sign).astype(np.float32))
-
-
 def primitive_checks(seed: int = 0) -> list[CheckResult]:
     """One gradient check per primitive, on small random operands."""
     rng = np.random.default_rng(seed)
@@ -59,18 +51,19 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("mul_broadcast", [x, chan], lambda p: tz.sum_all(tz.mul(tz.mul(p[0], p[1]), tz.mul(p[0], p[1])))),
         ("neg", [x], lambda p: tz.sum_all(tz.mul(tz.neg(p[0]), tz.neg(p[0])))),
         ("exp", [x], lambda p: tz.mean_all(tz.exp(p[0]))),
-        ("absolute", [_rand_nonzero(rng, (2, 3, 4, 4))], lambda p: tz.mean_all(tz.absolute(p[0]))),
         ("sum_all", [x], lambda p: tz.sum_all(p[0])),
         ("mean_all", [x], lambda p: tz.mean_all(p[0])),
         ("logsumexp", [x], lambda p: tz.mean_all(tz.logsumexp(p[0], axis=3))),
         ("simple_gate", [x], lambda p: tz.mean_all(tz.simple_gate(p[0]))),
         ("global_avg_pool", [x], lambda p: tz.sum_all(tz.mul(tz.global_avg_pool(p[0]), tz.global_avg_pool(p[0])))),
         ("pixel_shuffle", [x], lambda p: tz.sum_all(tz.mul(tz.pixel_shuffle(p[0], 2), tz.pixel_shuffle(p[0], 2)))),
-        ("bilinear_upsample", [_rand(rng, (1, 2, 4, 5))], lambda p: tz.sum_all(tz.mul(tz.bilinear_upsample(p[0], 2), tz.bilinear_upsample(p[0], 2)))),
     ]
 
-    checks.append(("dft2", [_rand(rng, (1, 2, 4, 6))],
-                   lambda p: tz.mean_all(tz.mul(tz.dft2(p[0]), tz.dft2(p[0])))))
+    # even and odd w: the half spectrum has a self-mirrored last column or not
+    checks += [
+        ("spectral_l1_even", [_rand(rng, (1, 2, 4, 6))], lambda p: tz.spectral_l1(p[0])),
+        ("spectral_l1_odd", [_rand(rng, (2, 3, 5, 7))], lambda p: tz.spectral_l1(p[0])),
+    ]
 
     def squared(out):
         return tz.sum_all(tz.mul(out, out))

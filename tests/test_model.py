@@ -253,7 +253,8 @@ class TestForward:
         # the child sees only PATH, the thread count and the directory that
         # holds the stereosr package this process imported (a source tree or
         # an install); inheriting the rest of the environment could carry
-        # e.g. OMP_NUM_THREADS and defeat the thread-count setting
+        # e.g. OMP_NUM_THREADS and defeat the thread-count setting.  It
+        # writes no bytecode, so the test leaves the source tree as it was
         package_root = str(Path(stereosr.__file__).resolve().parent.parent)
         digests = set()
         for threads in ("1", "2"):
@@ -264,6 +265,7 @@ class TestForward:
                     "PATH": "/usr/bin:/bin",
                     "OPENBLAS_NUM_THREADS": threads,
                     "PYTHONPATH": package_root,
+                    "PYTHONDONTWRITEBYTECODE": "1",
                 },
             )
             assert proc.returncode == 0, (

@@ -286,64 +286,60 @@ class TestPixelShuffle:
             tz.pixel_shuffle(tz.zeros((1, 6, 2, 2)), 2)
 
 
-def dft2_parts(x):
-    """The real and the imaginary half of ``tz.dft2(x)``'s channels."""
-    spec = tz.dft2(x)
-    assert spec.shape == (x.n, 2 * x.c, x.h, x.w)
-    return Tensor(spec.data[:, :x.c]), Tensor(spec.data[:, x.c:])
+def full_spectrum_l1(x):
+    """The frequency term from its definition: the mean of |Re| and |Im|
+    over every coefficient of a float64 fft2, the two parts counted as
+    separate elements."""
+    f = np.fft.fft2(np.asarray(x, np.float64))
+    return (np.abs(f.real).sum() + np.abs(f.imag).sum()) / (2 * f.size)
 
 
-class TestDft2:
+SPECTRUM_SHAPES = [(4, 6), (4, 7), (5, 6), (5, 7)]  # even and odd h and w
+
+
+class TestSpectralL1:
+    @pytest.mark.parametrize("h, w", SPECTRUM_SHAPES)
+    def test_matches_full_spectrum_sum(self, h, w):
+        x = np.random.default_rng(9).normal(size=(2, 3, h, w))
+        out = tz.spectral_l1(Tensor(x))
+        assert out.shape == (1, 1, 1, 1)
+        assert out.item() == pytest.approx(full_spectrum_l1(x), rel=1e-13)
+
+    @pytest.mark.parametrize("h, w", SPECTRUM_SHAPES)
+    def test_backward_is_inverse_transform_of_signs(self, h, w):
+        x = Tensor(np.random.default_rng(10).normal(size=(2, 3, h, w)))
+        with GradTape() as tape:
+            loss = tz.spectral_l1(x)
+        (g,) = tape.gradients(loss, [x])
+        f = np.fft.fft2(x.data)
+        signs = np.sign(f.real) + 1j * np.sign(f.imag)
+        want = np.real(np.fft.ifft2(signs)) * (h * w) / (2 * x.numel)
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_float32_value_tracks_float64(self):
+        x = np.random.default_rng(11).uniform(-0.5, 0.5, size=(2, 3, 96, 288))
+        single = tz.spectral_l1(Tensor(x.astype(np.float32)))
+        assert single.dtype == np.float32
+        assert single.item() == pytest.approx(full_spectrum_l1(x.astype(np.float32)), rel=1e-6)
+
     def test_constant_is_dc_only(self):
-        k, h, w = 2.5, 3, 5
-        re, im = dft2_parts(tz.full((1, 1, h, w), k))
-        assert re.data[0, 0, 0, 0] == pytest.approx(k * h * w, rel=1e-6)
-        rest = re.data.copy()
-        rest[0, 0, 0, 0] = 0.0
-        np.testing.assert_allclose(rest, 0.0, atol=1e-4)
-        np.testing.assert_allclose(im.data, 0.0, atol=1e-4)
+        # each channel's DC coefficient is k*h*w and every other one is zero
+        assert tz.spectral_l1(tz.full((2, 3, 3, 5), -2.5)).item() == pytest.approx(1.25, rel=1e-6)
 
     def test_impulse_is_flat(self):
-        x = tz.tensor([[[[1.0, 0.0], [0.0, 0.0]]]])
-        re, im = dft2_parts(x)
-        np.testing.assert_allclose(re.data, 1.0, atol=1e-6)
-        np.testing.assert_allclose(im.data, 0.0, atol=1e-6)
+        # every coefficient of a unit impulse is 1 + 0i
+        x = np.zeros((1, 1, 4, 5))
+        x[0, 0, 0, 0] = 1.0
+        assert tz.spectral_l1(Tensor(x)).item() == pytest.approx(0.5, rel=1e-15)
 
-    def test_matches_direct_definition(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(1, 2, 4, 5))
-        hh, ww = 4, 5
-        want = np.zeros((1, 2, hh, ww), complex)
-        for u in range(hh):
-            for v in range(ww):
-                for a in range(hh):
-                    for b in range(ww):
-                        want[:, :, u, v] += x[:, :, a, b] * np.exp(
-                            -2j * np.pi * (u * a / hh + v * b / ww)
-                        )
-        re, im = dft2_parts(Tensor(x.astype(np.float64)))
-        np.testing.assert_allclose(re.data, want.real, atol=1e-9)
-        np.testing.assert_allclose(im.data, want.imag, atol=1e-9)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(1, 1, 6, 7)).astype(np.float32)
-        re, im = dft2_parts(Tensor(x))
-        spec_energy = float((re.data ** 2 + im.data ** 2).sum())
-        sig_energy = float((x ** 2).sum()) * 6 * 7
-        assert abs(spec_energy - sig_energy) / sig_energy < 1e-3
-
-    def test_linearity(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(1, 1, 5, 5)).astype(np.float32))
-        y = Tensor(rng.normal(size=(1, 1, 5, 5)).astype(np.float32))
-        a, b = 1.7, -0.6
-        combo = Tensor(a * x.data + b * y.data)
-        re_c, im_c = dft2_parts(combo)
-        re_x, im_x = dft2_parts(x)
-        re_y, im_y = dft2_parts(y)
-        np.testing.assert_allclose(re_c.data, a * re_x.data + b * re_y.data, atol=1e-4)
-        np.testing.assert_allclose(im_c.data, a * im_x.data + b * im_y.data, atol=1e-4)
+    def test_zero_residual_has_zero_gradient(self):
+        # sign(0) = 0: no coefficient pulls when the residual vanishes
+        x = tz.zeros((1, 2, 4, 6))
+        with GradTape() as tape:
+            loss = tz.spectral_l1(x)
+        (g,) = tape.gradients(loss, [x])
+        assert loss.item() == 0.0
+        np.testing.assert_array_equal(g, 0.0)
 
 
 class TestBilinearUpsample:
@@ -470,18 +466,6 @@ class TestGradCheck:
             return tz.mean_all(tz.mul(y, y))
 
         assert tz.grad_check(f, [x, w, b, gain, shift]) < 1e-4
-
-    def test_dft_loss(self):
-        x = tz.tensor(np.random.default_rng(18).normal(size=(1, 2, 4, 6)))
-        real_half = Tensor(np.array([1.0, 1.0, 0.0, 0.0]).reshape(1, 4, 1, 1))
-
-        def f(p):
-            spec = tz.dft2(p[0])
-            re = tz.mul(spec, real_half)   # imaginary channels zeroed
-            im = tz.sub(spec, re)          # real channels zeroed
-            return tz.add(tz.mean_all(tz.mul(re, re)), tz.mean_all(tz.absolute(im)))
-
-        assert tz.grad_check(f, [x]) < 1e-4
 
 
 class TestDeterminism:

@@ -203,24 +203,52 @@ class TestOverfit:
         assert err.value.step >= 1
 
 
+def _acceptance_step():
+    """One taped training step at the acceptance config (N=2, C=16, 24x72
+    LR): the tape, the parameters and the number of forward records."""
+    cfg = ModelConfig(n_blocks=2, width=16)
+    rng = np.random.default_rng(8)
+    lr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 24, 72)).astype(np.float32))
+                      for _ in range(2)))
+    hr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 96, 288)).astype(np.float32))
+                      for _ in range(2)))
+    store = init_model(cfg, 0)
+    with tz.GradTape() as tape:
+        sr = forward(lr, store, cfg)
+        n_forward = len(tape)
+        tr.loss_total(sr, hr)
+    return tape, store.tensors(), n_forward
+
+
 class TestTapeCoverage:
     def test_every_recorded_primitive_has_a_gradient_check(self):
-        # one training step at the acceptance config; a record name is
-        # covered by a check of the same name or one that extends it
-        # (conv2d by conv2d_1x1, abs by absolute)
-        cfg = ModelConfig(n_blocks=2, width=16)
-        rng = np.random.default_rng(8)
-        lr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 24, 72)).astype(np.float32))
-                          for _ in range(2)))
-        hr = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 96, 288)).astype(np.float32))
-                          for _ in range(2)))
-        with tz.GradTape() as tape:
-            tr.loss_total(forward(lr, init_model(cfg, 0), cfg), hr)
+        # a record name is covered by a check of the same name or one that
+        # extends it (conv2d by conv2d_1x1, spectral_l1 by spectral_l1_even)
+        tape, _, _ = _acceptance_step()
         recorded = {rec.name for rec in tape._records}
         checked = [r.name for r in verify.primitive_checks()]
-        assert {"cost_matrix", "carry", "sinkhorn", "conv2d", "abs"} <= recorded
+        assert {"cost_matrix", "carry", "sinkhorn", "conv2d", "spectral_l1"} <= recorded
         assert [name for name in sorted(recorded)
                 if not any(row.startswith(name) for row in checked)] == []
+
+
+class TestTapeHygiene:
+    def test_every_record_reads_a_parameter(self):
+        # a record whose inputs are all constants is never differentiated
+        tape, params, _ = _acceptance_step()
+        live = {id(p) for p in params}
+        constant = []
+        for rec in tape._records:
+            if any(id(t) in live for t in rec.inputs):
+                live.add(id(rec.output))
+            else:
+                constant.append(rec.name)
+        assert constant == []
+
+    def test_loss_records(self):
+        # per view: sub, mul, mean_all, spectral_l1, mul, add; then add, mul
+        tape, _, n_forward = _acceptance_step()
+        assert len(tape) - n_forward == 14
 
 
 class TestLogFormat:
