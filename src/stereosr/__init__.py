@@ -9,7 +9,6 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .tensor import (  # noqa: E402
-    ConvSpec,
     GradTape,
     ShapeError,
     Tensor,
@@ -50,7 +49,7 @@ from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_pn
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvSpec", "GradTape", "ShapeError", "Tensor",
+    "GradTape", "ShapeError", "Tensor",
     "bilinear_upsample", "grad_check",
     "LskaBranch", "default_branches", "mscab_forward",
     "CostVolume", "NonConvergenceError", "SinkhornConfig",

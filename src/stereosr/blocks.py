@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import ConvSpec, Tensor, add, conv2d, global_avg_pool, layer_norm, mul, simple_gate
+from .tensor import Tensor, add, conv2d, global_avg_pool, layer_norm, mul, simple_gate
 
 DEFAULT_LSKA_BRANCHES = (
     # small / medium / large effective fields: 7, 23, 35
@@ -59,40 +59,33 @@ def default_branches() -> tuple[LskaBranch, ...]:
     return tuple(LskaBranch(*b) for b in DEFAULT_LSKA_BRANCHES)
 
 
-def _conv1x1(c_in: int, c_out: int) -> ConvSpec:
-    return ConvSpec(out_ch=c_out, in_ch=c_in, kh=1, kw=1)
-
-
-def _dw(c: int, kh: int, kw: int, dilation=(1, 1)) -> ConvSpec:
-    return ConvSpec(out_ch=c, in_ch=c, kh=kh, kw=kw, groups=c, dilation=dilation)
-
-
-def _lska_convs(c: int, branch: LskaBranch) -> tuple[tuple[str, ConvSpec], ...]:
+def _lska_convs(c: int, branch: LskaBranch) -> tuple[tuple[str, tuple, tuple[int, int]], ...]:
+    """(name, depthwise weight shape, dilation) of a branch's four convolutions."""
     k, dk, d = branch.base_k, branch.dilated_k, branch.dilation
     return (
-        ("local_h", _dw(c, 1, k)),
-        ("local_v", _dw(c, k, 1)),
-        ("dilated_h", _dw(c, 1, dk, dilation=(1, d))),
-        ("dilated_v", _dw(c, dk, 1, dilation=(d, 1))),
+        ("local_h", (c, 1, 1, k), (1, 1)),
+        ("local_v", (c, 1, k, 1), (1, 1)),
+        ("dilated_h", (c, 1, 1, dk), (1, d)),
+        ("dilated_v", (c, 1, dk, 1), (d, 1)),
     )
 
 
-def apply_conv(x: Tensor, spec: ConvSpec, p, name: str) -> Tensor:
+def apply_conv(x: Tensor, p, name: str, dilation=(1, 1)) -> Tensor:
     """conv2d with the weight and bias that ``p`` holds under ``name``."""
-    return conv2d(x, spec, p[f"{name}.weight"], p[f"{name}.bias"])
+    return conv2d(x, p[f"{name}.weight"], p[f"{name}.bias"], dilation)
 
 
 def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Simplified channel attention: pool to per-channel statistics, mix with
     a 1x1 convolution, and rescale the input channels.  No nonlinearity."""
-    s = conv2d(global_avg_pool(y), _conv1x1(y.c, y.c), w, b)
+    s = conv2d(global_avg_pool(y), w, b)
     return mul(y, s)
 
 
 def _lska_branch(y: Tensor, p, j: int, branch: LskaBranch) -> Tensor:
     t = y
-    for name, spec in _lska_convs(y.c, branch):
-        t = apply_conv(t, spec, p, f"mscam.lska.{j}.{name}")
+    for name, _, dilation in _lska_convs(y.c, branch):
+        t = apply_conv(t, p, f"mscam.lska.{j}.{name}", dilation)
     return t
 
 
@@ -104,7 +97,7 @@ def mslska(y: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
     acc = _lska_branch(y, p, 0, branches[0])
     for j, branch in enumerate(branches[1:], start=1):
         acc = add(acc, _lska_branch(y, p, j, branch))
-    attn = apply_conv(acc, _conv1x1(y.c, y.c), p, "mscam.lska.fuse")
+    attn = apply_conv(acc, p, "mscam.lska.fuse")
     return mul(y, attn)
 
 
@@ -114,25 +107,23 @@ def mscam(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
 
     ``p`` maps the block's parameter names (see :func:`mscab_layout`) to
     tensors."""
-    c = x.c
     y = layer_norm(x, p["mscam.norm.gain"], p["mscam.norm.shift"])
-    y = apply_conv(y, _conv1x1(c, 2 * c), p, "mscam.expand")
-    y = apply_conv(y, _dw(2 * c, 3, 3), p, "mscam.dwconv")
+    y = apply_conv(y, p, "mscam.expand")
+    y = apply_conv(y, p, "mscam.dwconv")
     y = simple_gate(y)
     y = mslska(y, p, branches)
     y = sca(y, p["mscam.sca.weight"], p["mscam.sca.bias"])
-    y = apply_conv(y, _conv1x1(c, c), p, "mscam.project")
+    y = apply_conv(y, p, "mscam.project")
     return add(x, mul(p["mscam.res_scale"], y))
 
 
 def sffn(x: Tensor, p) -> Tensor:
     """Feed-forward half: norm, expand to 2C, gate back to C, project,
     scaled residual."""
-    c = x.c
     y = layer_norm(x, p["sffn.norm.gain"], p["sffn.norm.shift"])
-    y = apply_conv(y, _conv1x1(c, 2 * c), p, "sffn.expand")
+    y = apply_conv(y, p, "sffn.expand")
     y = simple_gate(y)
-    y = apply_conv(y, _conv1x1(c, c), p, "sffn.project")
+    y = apply_conv(y, p, "sffn.project")
     return add(x, mul(p["sffn.res_scale"], y))
 
 
@@ -150,10 +141,10 @@ def mscab_forward(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
 UNIFORM = "uniform"
 
 
-def conv_rows(name: str, spec: ConvSpec) -> list[tuple]:
-    """Layout rows of one convolution: uniform weight, zero bias."""
-    return [(f"{name}.weight", spec.weight_shape, UNIFORM),
-            (f"{name}.bias", (1, spec.out_ch, 1, 1), 0.0)]
+def conv_rows(name: str, shape: tuple) -> list[tuple]:
+    """Layout rows of one convolution with an (out_ch, in_ch, kh, kw)
+    kernel: uniform weight, zero bias."""
+    return [(f"{name}.weight", shape, UNIFORM), (f"{name}.bias", (1, shape[0], 1, 1), 0.0)]
 
 
 def norm_rows(name: str, c: int) -> list[tuple]:
@@ -167,19 +158,19 @@ def mscab_layout(c: int, branches: tuple[LskaBranch, ...]) -> list[tuple]:
     fan-in conv weights."""
     rows = [
         *norm_rows("mscam.norm", c),
-        *conv_rows("mscam.expand", _conv1x1(c, 2 * c)),
-        *conv_rows("mscam.dwconv", _dw(2 * c, 3, 3)),
+        *conv_rows("mscam.expand", (2 * c, c, 1, 1)),
+        *conv_rows("mscam.dwconv", (2 * c, 1, 3, 3)),
     ]
     for j, branch in enumerate(branches):
-        for name, spec in _lska_convs(c, branch):
-            rows += conv_rows(f"mscam.lska.{j}.{name}", spec)
+        for name, shape, _ in _lska_convs(c, branch):
+            rows += conv_rows(f"mscam.lska.{j}.{name}", shape)
     return rows + [
-        *conv_rows("mscam.lska.fuse", _conv1x1(c, c)),
-        *conv_rows("mscam.sca", _conv1x1(c, c)),
-        *conv_rows("mscam.project", _conv1x1(c, c)),
+        *conv_rows("mscam.lska.fuse", (c, c, 1, 1)),
+        *conv_rows("mscam.sca", (c, c, 1, 1)),
+        *conv_rows("mscam.project", (c, c, 1, 1)),
         ("mscam.res_scale", (1, c, 1, 1), 1.0),
         *norm_rows("sffn.norm", c),
-        *conv_rows("sffn.expand", _conv1x1(c, 2 * c)),
-        *conv_rows("sffn.project", _conv1x1(c, c)),
+        *conv_rows("sffn.expand", (2 * c, c, 1, 1)),
+        *conv_rows("sffn.project", (c, c, 1, 1)),
         ("sffn.res_scale", (1, c, 1, 1), 1.0),
     ]

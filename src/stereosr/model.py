@@ -12,7 +12,7 @@ import numpy as np
 from . import blocks as _blocks
 from . import transport as _transport
 from .blocks import UNIFORM, LskaBranch, apply_conv, conv_rows, default_branches, mscab_layout
-from .tensor import ConvSpec, ShapeError, Tensor, add, bilinear_upsample, pixel_shuffle
+from .tensor import ShapeError, Tensor, add, bilinear_upsample, pixel_shuffle
 from .transport import MAX_SINKHORN_ITERS, SinkhornConfig, deam_layout
 
 MAGIC = b"MSIN"
@@ -157,14 +157,6 @@ class WeightStore:
 # Parameter layout and initialization
 # ---------------------------------------------------------------------------
 
-def _intro(cfg: ModelConfig) -> ConvSpec:
-    return ConvSpec(out_ch=cfg.width, in_ch=3, kh=3, kw=3)
-
-
-def _head(cfg: ModelConfig) -> ConvSpec:
-    return ConvSpec(out_ch=3 * cfg.scale * cfg.scale, in_ch=cfg.width, kh=3, kw=3)
-
-
 def _views(cfg: ModelConfig) -> tuple[str, str]:
     """Name prefixes of the left and the right view's weights."""
     return ("", "") if cfg.share_view_weights else ("left.", "right.")
@@ -176,11 +168,11 @@ def layout(cfg: ModelConfig):
     shallow conv, the blocks and the head, then the cross-view stages."""
     block = mscab_layout(cfg.width, cfg.lska_branches)
     for view in dict.fromkeys(_views(cfg)):   # once when the views share weights
-        yield from conv_rows(f"{view}intro", _intro(cfg))
+        yield from conv_rows(f"{view}intro", (cfg.width, 3, 3, 3))
         for i in range(cfg.n_blocks):
             for name, shape, init in block:
                 yield f"{view}block.{i}.{name}", shape, init
-        yield from conv_rows(f"{view}head", _head(cfg))
+        yield from conv_rows(f"{view}head", (3 * cfg.scale * cfg.scale, cfg.width, 3, 3))
     deam = deam_layout(cfg.width)
     for i in cfg.deam_stages():
         for name, shape, init in deam:
@@ -255,9 +247,8 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
 
     left, right = _views(cfg)
-    intro, head = _intro(cfg), _head(cfg)
-    x_l = apply_conv(pair.left, intro, store, f"{left}intro")
-    x_r = apply_conv(pair.right, intro, store, f"{right}intro")
+    x_l = apply_conv(pair.left, store, f"{left}intro")
+    x_r = apply_conv(pair.right, store, f"{right}intro")
 
     block = mscab_layout(cfg.width, cfg.lska_branches)
     deam = deam_layout(cfg.width)
@@ -271,8 +262,8 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
         if i in deam_at:
             x_l, x_r, _ = _transport.deam_forward(x_l, x_r, _params(store, f"deam.{i}.", deam), sk)
 
-    y_l = pixel_shuffle(apply_conv(x_l, head, store, f"{left}head"), cfg.scale)
-    y_r = pixel_shuffle(apply_conv(x_r, head, store, f"{right}head"), cfg.scale)
+    y_l = pixel_shuffle(apply_conv(x_l, store, f"{left}head"), cfg.scale)
+    y_r = pixel_shuffle(apply_conv(x_r, store, f"{right}head"), cfg.scale)
     if cfg.global_residual:
         y_l = add(y_l, bilinear_upsample(pair.left, cfg.scale))
         y_r = add(y_r, bilinear_upsample(pair.right, cfg.scale))

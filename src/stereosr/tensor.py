@@ -12,7 +12,6 @@ can run at higher precision than the training path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,12 +237,6 @@ def mul(a: Tensor, b) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    _record("neg", (a,), out, lambda g: (-g,))
-    return out
-
-
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     _record("exp", (a,), out, lambda g: (g * out.data,))
@@ -295,71 +288,30 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
 # Convolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Stride-1 cross-correlation with zero "same" padding.
-
-    ``groups`` is 1 (full) or equal to ``in_ch`` and ``out_ch``
-    (depthwise); ``kernel`` is laid out (out_ch, in_ch // groups, kh, kw).
-    Effective kernel extents (k - 1) * dilation + 1 must be odd so the
-    symmetric padding ((k - 1) * d) / 2 reproduces the input spatial size
-    exactly.
-    """
-
-    out_ch: int
-    in_ch: int
-    kh: int
-    kw: int
-    groups: int = 1
-    dilation: tuple[int, int] = (1, 1)
-
-    def __post_init__(self):
-        if self.groups != 1 and not self.groups == self.in_ch == self.out_ch:
-            raise ShapeError(
-                f"groups must be 1 or equal in_ch and out_ch (depthwise); got groups "
-                f"{self.groups} with in_ch {self.in_ch}, out_ch {self.out_ch}"
-            )
-        dh, dw = self.dilation
-        if dh < 1 or dw < 1:
-            raise ShapeError(f"dilation must be >= 1, got {self.dilation}")
-        if ((self.kh - 1) * dh) % 2 or ((self.kw - 1) * dw) % 2:
-            raise ShapeError(
-                f"effective kernel extent must be odd for exact same padding; "
-                f"got kernel ({self.kh}, {self.kw}) with dilation {self.dilation}"
-            )
-
-    @property
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        return (self.out_ch, self.in_ch // self.groups, self.kh, self.kw)
-
-    @property
-    def padding(self) -> tuple[int, int]:
-        return ((self.kh - 1) * self.dilation[0] // 2, (self.kw - 1) * self.dilation[1] // 2)
-
-
-def _taps(x: np.ndarray, spec: ConvSpec) -> tuple[list[np.ndarray], int]:
-    """One contiguous (n, c, h * W) slice per kernel tap, in row-major tap
-    order, and the frame width W = w + pw.  The input is zero-padded once
-    into a flat (n, c, H * W + 2 * pw) frame of H = h + 2 * ph rows, each
-    led by pw zeros that also pad the row before on the right.  Tap (i, j)
-    starts at i * dh * W + j * dw, so its entry r * W + col holds the value
-    that kernel entry (i, j) multiplies at output site (r, col) when col < w,
-    and spill when col >= w."""
+def _taps(x: np.ndarray, kh: int, kw: int, dilation) -> tuple[list[np.ndarray], int]:
+    """One contiguous (n, c, h * W) slice per tap of a kh x kw kernel, in
+    row-major tap order, and the frame width W = w + pw.  The input is
+    zero-padded once into a flat (n, c, H * W + 2 * pw) frame of
+    H = h + 2 * ph rows, each led by pw zeros that also pad the row before
+    on the right.  Tap (i, j) starts at i * dh * W + j * dw, so its entry
+    r * W + col holds the value that kernel entry (i, j) multiplies at output
+    site (r, col) when col < w, and spill when col >= w."""
     n, c, h, w = x.shape
-    (ph, pw), (dh, dw) = spec.padding, spec.dilation
+    dh, dw = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
     if ph == pw == 0:
         return [x.reshape(n, c, h * w)], w
     width, height = w + pw, h + 2 * ph
     frame = np.zeros((n, c, height * width + 2 * pw), dtype=x.dtype)
     frame[..., :height * width].reshape(n, c, height, width, copy=False)[..., ph:ph + h, pw:] = x
-    starts = [i * dh * width + j * dw for i in range(spec.kh) for j in range(spec.kw)]
+    starts = [i * dh * width + j * dw for i in range(kh) for j in range(kw)]
     return [frame[..., s:s + h * width] for s in starts], width
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     n, cin, h, wd = x.shape
-    taps, width = _taps(x, spec)
-    if spec.groups > 1:
+    taps, width = _taps(x, *w.shape[2:], dilation)
+    if w.shape[1] != cin:
         # depthwise: accumulate the taps, each scaled by its kernel column
         columns = w.reshape(cin, -1).T.reshape(-1, 1, cin, 1)
         out = taps[0] * columns[0]
@@ -368,49 +320,66 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     else:
         # stacked rows are ordered like a flattened kernel; rebinding frees the frame
         taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
-        out = np.matmul(w.reshape(spec.out_ch, -1), taps)
+        out = np.matmul(w.reshape(w.shape[0], -1), taps)
     return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
 
 
-def _conv_grad_w(x: np.ndarray, gout: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv_grad_w(x: np.ndarray, gout: np.ndarray, shape, dilation) -> np.ndarray:
     n, c, h, w = gout.shape
-    taps, width = _taps(x, spec)
+    taps, width = _taps(x, *shape[2:], dilation)
     # the cotangent laid out like a tap, its zero spill cancelling the tap's
     g = gout if width == w else np.pad(gout, ((0, 0), (0, 0), (0, 0), (0, width - w)))
     g = g.reshape(n, c, h * width)
-    if spec.groups > 1:  # one dot product per (n, c) and tap
+    if shape[1] != x.shape[1]:  # depthwise: one dot product per (n, c) and tap
         per_tap = [np.matmul(tap[:, :, None, :], g[..., None]).sum(axis=(0, 2, 3)) for tap in taps]
-        return np.stack(per_tap, axis=1).reshape(spec.weight_shape)
+        return np.stack(per_tap, axis=1).reshape(shape)
     taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
-    return np.tensordot(g, taps, axes=([0, 2], [0, 2])).reshape(spec.weight_shape)
+    return np.tensordot(g, taps, axes=([0, 2], [0, 2])).reshape(shape)
 
 
-def _conv_grad_x(gout: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv_grad_x(gout: np.ndarray, w: np.ndarray, dilation, depthwise: bool) -> np.ndarray:
     # Cross-correlate the output gradient with the spatially flipped kernel,
     # in/out channel roles swapped (a depthwise kernel keeps its layout).
-    wt = w if spec.groups > 1 else w.swapaxes(0, 1)
+    wt = w if depthwise else w.swapaxes(0, 1)
     wt = np.ascontiguousarray(wt[..., ::-1, ::-1])
-    spec_t = ConvSpec(
-        out_ch=spec.in_ch, in_ch=spec.out_ch, kh=spec.kh, kw=spec.kw,
-        groups=spec.groups, dilation=spec.dilation,
-    )
-    return np.ascontiguousarray(_conv_forward(gout, wt, spec_t))
+    return np.ascontiguousarray(_conv_forward(gout, wt, dilation))
 
 
-def conv2d(x: Tensor, spec: ConvSpec, weights: Tensor, bias: Tensor) -> Tensor:
-    """2-D cross-correlation per ``spec`` plus a per-output-channel bias."""
-    if x.c != spec.in_ch:
-        raise ShapeError(f"input has {x.c} channels, spec expects in_ch={spec.in_ch}")
-    if weights.shape != spec.weight_shape:
-        raise ShapeError(f"weights shaped {weights.shape}, spec expects {spec.weight_shape}")
-    if bias.shape != (1, spec.out_ch, 1, 1):
-        raise ShapeError(f"bias shaped {bias.shape}, expected (1, {spec.out_ch}, 1, 1)")
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
+    """Stride-1 2-D cross-correlation with zero "same" padding, plus a
+    per-output-channel bias of shape (1, out_ch, 1, 1).
 
-    out = Tensor(_conv_forward(x.data, weights.data, spec) + bias.data)
+    The kernel's shape (out_ch, in_ch, kh, kw) decides the convolution: a
+    full one when in_ch is the input's channel count, a depthwise one when
+    in_ch is 1 and out_ch is the input's channel count.  A (1, 1, kh, kw)
+    kernel on a 1-channel input fits both readings, which compute the same
+    map; it takes the full path.  Effective extents (k - 1) * dilation + 1
+    must be odd, so the symmetric padding (k - 1) * dilation / 2 reproduces
+    the input's spatial size exactly.
+    """
+    out_ch, in_ch, kh, kw = weights.shape
+    depthwise = in_ch != x.c
+    if depthwise and not (in_ch == 1 and out_ch == x.c):
+        raise ShapeError(
+            f"kernel shaped {weights.shape} fits neither a full convolution of the input's "
+            f"{x.c} channels (in_ch {x.c}) nor a depthwise one (in_ch 1, out_ch {x.c})"
+        )
+    dh, dw = dilation
+    if dh < 1 or dw < 1:
+        raise ShapeError(f"dilation must be >= 1, got {dilation}")
+    if ((kh - 1) * dh) % 2 or ((kw - 1) * dw) % 2:
+        raise ShapeError(
+            f"effective kernel extent must be odd for exact same padding; "
+            f"got kernel ({kh}, {kw}) with dilation {dilation}"
+        )
+    if bias.shape != (1, out_ch, 1, 1):
+        raise ShapeError(f"bias shaped {bias.shape}, expected (1, {out_ch}, 1, 1)")
+
+    out = Tensor(_conv_forward(x.data, weights.data, dilation) + bias.data)
 
     def bwd(g):
-        dx = _conv_grad_x(g, weights.data, spec)
-        dw = _conv_grad_w(x.data, g, spec)
+        dx = _conv_grad_x(g, weights.data, dilation, depthwise)
+        dw = _conv_grad_w(x.data, g, weights.shape, dilation)
         db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 

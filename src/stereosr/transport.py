@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _conv1x1, apply_conv, conv_rows, norm_rows
+from .blocks import apply_conv, conv_rows, norm_rows
 from .tensor import ShapeError, Tensor, _record, add, layer_norm, mul
 
 # Sinkhorn iterations per normalization.  The forward keeps two duals per
@@ -149,8 +149,8 @@ def _dual_update(scores: np.ndarray, dual: np.ndarray, axis: int, work: np.ndarr
     """-log w - LSE_axis(scores + dual), max-shifted, computed in ``work``.
 
     The numpy operations and their order are those of ``tensor.logsumexp``
-    followed by ``add`` and ``neg``, so the result is bit-identical to that
-    composition.
+    followed by ``add`` and ``mul`` by -1, so the result is bit-identical
+    to that composition.
     """
     np.add(scores, dual, out=work)
     top = work.max(axis=axis, keepdims=True)
@@ -356,12 +356,10 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p,
     """
     if x_l.shape != x_r.shape:
         raise ShapeError(f"view shapes differ: {x_l.shape} vs {x_r.shape}")
-    c = x_l.c
-    spec = _conv1x1(c, c)
-    match_l = apply_conv(layer_norm(x_l, p["norm_l.gain"], p["norm_l.shift"]), spec, p, "match_l")
-    match_r = apply_conv(layer_norm(x_r, p["norm_r.gain"], p["norm_r.shift"]), spec, p, "match_r")
-    value_l = apply_conv(x_l, spec, p, "value_l")
-    value_r = apply_conv(x_r, spec, p, "value_r")
+    match_l = apply_conv(layer_norm(x_l, p["norm_l.gain"], p["norm_l.shift"]), p, "match_l")
+    match_r = apply_conv(layer_norm(x_r, p["norm_r.gain"], p["norm_r.shift"]), p, "match_r")
+    value_l = apply_conv(x_l, p, "value_l")
+    value_r = apply_conv(x_r, p, "value_r")
 
     plan = sinkhorn(cost_matrix(match_l, match_r), cfg)
     to_left = carry(plan.values, value_r, to_left=True)
@@ -384,5 +382,5 @@ def deam_layout(c: int) -> list[tuple]:
     """
     rows = norm_rows("norm_l", c) + norm_rows("norm_r", c)
     for name in ("match_l", "match_r", "value_l", "value_r"):
-        rows += conv_rows(name, _conv1x1(c, c))
+        rows += conv_rows(name, (c, c, 1, 1))
     return rows + [("fuse_scale_l", (1, c, 1, 1), 0.0), ("fuse_scale_r", (1, c, 1, 1), 0.0)]

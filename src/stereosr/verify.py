@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as tz
 from .model import ModelConfig, StereoPair, forward, init_model
-from .tensor import ConvSpec, Tensor, grad_check
+from .tensor import Tensor, grad_check
 from .train import loss_total
 from .transport import CostVolume, carry, cost_matrix, sinkhorn
 
@@ -49,7 +49,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("sub", [x, y], lambda p: tz.sum_all(tz.mul(tz.sub(p[0], p[1]), tz.sub(p[0], p[1])))),
         ("mul", [x, y], lambda p: tz.sum_all(tz.mul(p[0], p[1]))),
         ("mul_broadcast", [x, chan], lambda p: tz.sum_all(tz.mul(tz.mul(p[0], p[1]), tz.mul(p[0], p[1])))),
-        ("neg", [x], lambda p: tz.sum_all(tz.mul(tz.neg(p[0]), tz.neg(p[0])))),
         ("exp", [x], lambda p: tz.mean_all(tz.exp(p[0]))),
         ("sum_all", [x], lambda p: tz.sum_all(p[0])),
         ("mean_all", [x], lambda p: tz.mean_all(p[0])),
@@ -76,19 +75,20 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("carry_to_right", [plan, v], lambda p: squared(carry(p[0], p[1], to_left=False))),
     ]
 
+    # (weight shape, dilation) on the 4-channel x: full, then depthwise
     conv_cases = [
-        ("conv2d_full_3x3", ConvSpec(out_ch=5, in_ch=4, kh=3, kw=3)),
-        ("conv2d_1x1", ConvSpec(out_ch=6, in_ch=4, kh=1, kw=1)),
-        ("conv2d_depthwise", ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4)),
-        ("conv2d_dilated_sep", ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2))),
-        ("conv2d_dilated_sep_v", ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(2, 1))),
+        ("conv2d_full_3x3", (5, 4, 3, 3), (1, 1)),
+        ("conv2d_1x1", (6, 4, 1, 1), (1, 1)),
+        ("conv2d_depthwise", (4, 1, 3, 3), (1, 1)),
+        ("conv2d_dilated_sep", (4, 1, 1, 5), (1, 2)),
+        ("conv2d_dilated_sep_v", (4, 1, 5, 1), (2, 1)),
     ]
-    for name, spec in conv_cases:
-        w = _rand(rng, spec.weight_shape)
-        bia = _rand(rng, (1, spec.out_ch, 1, 1))
+    for name, shape, dilation in conv_cases:
+        w = _rand(rng, shape)
+        bia = _rand(rng, (1, shape[0], 1, 1))
 
-        def conv_loss(p, spec=spec):
-            out = tz.conv2d(p[0], spec, p[1], p[2])
+        def conv_loss(p, dilation=dilation):
+            out = tz.conv2d(p[0], p[1], p[2], dilation)
             return tz.mean_all(tz.mul(out, out))
 
         checks.append((name, [x, w, bia], conv_loss))

@@ -7,26 +7,28 @@ import numpy as np
 import pytest
 
 from stereosr import tensor as tz
-from stereosr.tensor import ConvSpec, GradTape, ShapeError, Tensor
+from stereosr.tensor import GradTape, ShapeError, Tensor
 
 
-def conv2d_oracle(x, w, b, spec):
-    """Direct summation over the receptive field, no vectorization."""
+def conv2d_oracle(x, w, b, dilation=(1, 1)):
+    """Direct summation over the receptive field, no vectorization.  The
+    groups come from the shapes: 1 when the kernel's in_ch is the input's
+    channel count (full), the channel count when it is 1 (depthwise)."""
     n, cin, h, wd = x.shape
-    out = np.zeros((n, spec.out_ch, h, wd))
-    ph, pw = spec.padding
-    dh, dw = spec.dilation
-    cpg = spec.in_ch // spec.groups
-    opg = spec.out_ch // spec.groups
+    cout, cpg, kh, kw = w.shape
+    dh, dw = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
+    opg = cout // (cin // cpg)
+    out = np.zeros((n, cout, h, wd))
     for nn in range(n):
-        for o in range(spec.out_ch):
+        for o in range(cout):
             group = o // opg
             for yy in range(h):
                 for xx in range(wd):
                     acc = 0.0
                     for ci in range(cpg):
-                        for ky in range(spec.kh):
-                            for kx in range(spec.kw):
+                        for ky in range(kh):
+                            for kx in range(kw):
                                 sy = yy + ky * dh - ph
                                 sx = xx + kx * dw - pw
                                 if 0 <= sy < h and 0 <= sx < wd:
@@ -35,24 +37,24 @@ def conv2d_oracle(x, w, b, spec):
     return out
 
 
-def conv2d_adjoint_oracle(x, w, g, spec):
+def conv2d_adjoint_oracle(x, w, g, dilation=(1, 1)):
     """Input, weight and bias cotangents of conv2d_oracle for the output
     cotangent g: the same direct summation, each product sent back to both
     of its factors."""
     n, cin, h, wd = x.shape
+    cout, cpg, kh, kw = w.shape
+    dh, dwl = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dwl // 2
+    opg = cout // (cin // cpg)
     dx, dw = np.zeros(x.shape), np.zeros(w.shape)
-    ph, pw = spec.padding
-    dh, dwl = spec.dilation
-    cpg = spec.in_ch // spec.groups
-    opg = spec.out_ch // spec.groups
     for nn in range(n):
-        for o in range(spec.out_ch):
+        for o in range(cout):
             group = o // opg
             for yy in range(h):
                 for xx in range(wd):
                     for ci in range(cpg):
-                        for ky in range(spec.kh):
-                            for kx in range(spec.kw):
+                        for ky in range(kh):
+                            for kx in range(kw):
                                 sy = yy + ky * dh - ph
                                 sx = xx + kx * dwl - pw
                                 if 0 <= sy < h and 0 <= sx < wd:
@@ -62,18 +64,20 @@ def conv2d_adjoint_oracle(x, w, g, spec):
     return dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
 
 
-# one spec per convolution path: full 3x3, 1x1, depthwise 3x3, dilated
-# depthwise 1x5 and 5x1; then kernel fields wider than the 6x7 input (a
-# padding of 15 on both sides) and a dilated full 3x3
+# one (weight shape, dilation) per convolution path on a 4-channel input:
+# full 3x3, 1x1, depthwise 3x3, dilated depthwise 1x5 and 5x1; then kernel
+# fields wider than the 6x7 input (a padding of 15 on both sides) and a
+# dilated full 3x3
+ORACLE_CHANNELS = 4
 ORACLE_SPECS = [
-    ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3),
-    ConvSpec(out_ch=5, in_ch=4, kh=1, kw=1),
-    ConvSpec(out_ch=4, in_ch=4, kh=3, kw=3, groups=4),
-    ConvSpec(out_ch=4, in_ch=4, kh=1, kw=5, groups=4, dilation=(1, 2)),
-    ConvSpec(out_ch=4, in_ch=4, kh=5, kw=1, groups=4, dilation=(3, 1)),
-    ConvSpec(out_ch=4, in_ch=4, kh=1, kw=11, groups=4, dilation=(1, 3)),
-    ConvSpec(out_ch=4, in_ch=4, kh=11, kw=1, groups=4, dilation=(3, 1)),
-    ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3, dilation=(2, 2)),
+    ((6, 4, 3, 3), (1, 1)),
+    ((5, 4, 1, 1), (1, 1)),
+    ((4, 1, 3, 3), (1, 1)),
+    ((4, 1, 1, 5), (1, 2)),
+    ((4, 1, 5, 1), (3, 1)),
+    ((4, 1, 1, 11), (1, 3)),
+    ((4, 1, 11, 1), (3, 1)),
+    ((6, 4, 3, 3), (2, 2)),
 ]
 
 # the frame's edge cases, each run on every spec: a 1x1 input, float64,
@@ -103,15 +107,13 @@ class TestConv2d:
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 3, 3)).astype(np.float32))
         kernel = np.zeros((1, 1, 3, 3), np.float32)
         kernel[0, 0, 1, 1] = 1.0
-        out = tz.conv2d(x, ConvSpec(1, 1, 3, 3), Tensor(kernel), tz.zeros((1, 1, 1, 1)))
+        out = tz.conv2d(x, Tensor(kernel), tz.zeros((1, 1, 1, 1)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_pointwise_affine(self):
         # 1x1 kernel [2] with bias [1] is the map x -> 2x + 1
         x = tz.tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = tz.conv2d(
-            x, ConvSpec(1, 1, 1, 1), tz.tensor([[[[2.0]]]]), tz.tensor([[[[1.0]]]])
-        )
+        out = tz.conv2d(x, tz.tensor([[[[2.0]]]]), tz.tensor([[[[1.0]]]]))
         np.testing.assert_allclose(out.data, [[[[3.0, 5.0], [7.0, 9.0]]]])
 
     def test_matches_direct_sum_oracle(self):
@@ -119,62 +121,84 @@ class TestConv2d:
         x = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)
         w = rng.normal(size=(1, 1, 3, 3)).astype(np.float32)
         b = rng.normal(size=(1, 1, 1, 1)).astype(np.float32)
-        spec = ConvSpec(1, 1, 3, 3)
-        got = tz.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
-        want = conv2d_oracle(x, w, b, spec)
+        got = tz.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        want = conv2d_oracle(x, w, b)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("spec, n, size, dtype, hwc", [
-        pytest.param(spec, n, (6, 7), np.float32, False,
-                     id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
-        for n in (2, 1) for i, spec in enumerate(ORACLE_SPECS)
-    ] + [
-        pytest.param(spec, 1, *case, id=f"spec{i}-{name}")
-        for name, case in ORACLE_INPUTS.items() for i, spec in enumerate(ORACLE_SPECS)
-    ])
-    def test_all_paths_match_oracle(self, spec, n, size, dtype, hwc):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(n, spec.in_ch, *size)).astype(dtype)
-        if hwc:
-            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        w = rng.normal(size=spec.weight_shape).astype(dtype)
-        b = rng.normal(size=(1, spec.out_ch, 1, 1)).astype(dtype)
-        g = rng.normal(size=(n, spec.out_ch, *size)).astype(dtype)
+    def test_one_channel_input_is_full_convolution(self):
+        # a (3, 1, 3, 3) kernel on 1 channel: in_ch 1 is the input's count,
+        # so the full reading, three output maps, not a depthwise one
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 1, 5, 6))
+        w = rng.normal(size=(3, 1, 3, 3))
+        b = rng.normal(size=(1, 3, 1, 1))
+        g = rng.normal(size=(2, 3, 5, 6))
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
         with GradTape() as tape:
-            out = tz.conv2d(inputs[0], spec, inputs[1], inputs[2])
+            out = tz.conv2d(*inputs)
+            loss = tz.sum_all(tz.mul(out, Tensor(g)))
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, w, b), atol=1e-12)
+        for name, grad, oracle in zip(("dx", "dW", "db"), tape.gradients(loss, inputs),
+                                      conv2d_adjoint_oracle(x, w, g)):
+            np.testing.assert_allclose(grad, oracle, atol=1e-11, err_msg=name)
+
+    @pytest.mark.parametrize("shape, dilation, n, size, dtype, hwc", [
+        pytest.param(shape, dilation, n, (6, 7), np.float32, False,
+                     id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
+        for n in (2, 1) for i, (shape, dilation) in enumerate(ORACLE_SPECS)
+    ] + [
+        pytest.param(shape, dilation, 1, *case, id=f"spec{i}-{name}")
+        for name, case in ORACLE_INPUTS.items()
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS)
+    ])
+    def test_all_paths_match_oracle(self, shape, dilation, n, size, dtype, hwc):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(n, ORACLE_CHANNELS, *size)).astype(dtype)
+        if hwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=shape).astype(dtype)
+        b = rng.normal(size=(1, shape[0], 1, 1)).astype(dtype)
+        g = rng.normal(size=(n, shape[0], *size)).astype(dtype)
+        inputs = [Tensor(x), Tensor(w), Tensor(b)]
+        with GradTape() as tape:
+            out = tz.conv2d(*inputs, dilation)
             loss = tz.sum_all(tz.mul(out, Tensor(g)))
         got = tape.gradients(loss, inputs)
         assert out.data.flags.c_contiguous and got[0].flags.c_contiguous
         x64, w64 = x.astype(np.float64), w.astype(np.float64)
-        want = conv2d_oracle(x64, w64, b.astype(np.float64), spec)
+        want = conv2d_oracle(x64, w64, b.astype(np.float64), dilation)
         tol = 1e-12 if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(out.data, want, atol=tol)
         for name, grad, oracle in zip(("dx", "dW", "db"), got,
-                                      conv2d_adjoint_oracle(x64, w64, g.astype(np.float64), spec)):
+                                      conv2d_adjoint_oracle(x64, w64, g.astype(np.float64),
+                                                            dilation)):
             assert grad.dtype == dtype, name
             np.testing.assert_allclose(grad, oracle, atol=10 * tol, err_msg=name)
 
     def test_channel_mismatch_names_dimension(self):
         x = tz.zeros((1, 3, 4, 4))
-        spec = ConvSpec(2, 4, 1, 1)
         with pytest.raises(ShapeError, match="channels"):
-            tz.conv2d(x, spec, tz.zeros(spec.weight_shape), tz.zeros((1, 2, 1, 1)))
+            tz.conv2d(x, tz.zeros((2, 4, 1, 1)), tz.zeros((1, 2, 1, 1)))
 
-    def test_spec_rejects_even_effective_extent(self):
-        with pytest.raises(ShapeError):
-            ConvSpec(out_ch=1, in_ch=1, kh=2, kw=1)
-        with pytest.raises(ShapeError):
-            ConvSpec(out_ch=1, in_ch=1, kh=3, kw=3, dilation=(1, 0))
+    def test_rejects_even_effective_extent(self):
+        x = tz.zeros((1, 1, 4, 4))
+        with pytest.raises(ShapeError, match="odd"):
+            tz.conv2d(x, tz.zeros((1, 1, 2, 1)), tz.zeros((1, 1, 1, 1)))
+        with pytest.raises(ShapeError, match="dilation"):
+            tz.conv2d(x, tz.zeros((1, 1, 3, 3)), tz.zeros((1, 1, 1, 1)), (1, 0))
 
-    def test_spec_rejects_bad_groups(self):
-        # only full (groups=1) and depthwise (groups = in_ch = out_ch) remain
-        with pytest.raises(ShapeError):
-            ConvSpec(out_ch=4, in_ch=3, kh=1, kw=1, groups=2)
-        with pytest.raises(ShapeError, match="depthwise"):
-            ConvSpec(out_ch=6, in_ch=4, kh=3, kw=3, groups=2)
-        with pytest.raises(ShapeError, match="depthwise"):
-            ConvSpec(out_ch=8, in_ch=4, kh=3, kw=3, groups=4)
+    def test_rejects_kernel_neither_full_nor_depthwise(self):
+        # grouped kernels other than depthwise, and a depthwise channel
+        # multiplier (8, 1, 3, 3) on 4 channels, fit neither reading
+        for c, shape in ((3, (4, 1, 1, 1)), (4, (6, 2, 3, 3)), (4, (8, 1, 3, 3))):
+            with pytest.raises(ShapeError, match="depthwise"):
+                tz.conv2d(tz.zeros((1, c, 4, 4)), tz.zeros(shape), tz.zeros((1, shape[0], 1, 1)))
+
+    def test_rejects_wrong_bias_shape(self):
+        x = tz.zeros((1, 4, 4, 4))
+        for bias in ((1, 4, 1, 1), (6, 1, 1, 1), (1, 6, 4, 4)):
+            with pytest.raises(ShapeError, match="bias"):
+                tz.conv2d(x, tz.zeros((6, 4, 3, 3)), tz.zeros(bias))
 
     def test_separable_equals_outer_product_kernel(self):
         # depthwise 1xk then kx1 == depthwise kxk with the outer-product kernel
@@ -184,12 +208,10 @@ class TestConv2d:
         row = rng.normal(size=(c, k)).astype(np.float32)
         col = rng.normal(size=(c, k)).astype(np.float32)
         zero = tz.zeros((1, c, 1, 1))
-        sep = tz.conv2d(x, ConvSpec(c, c, 1, k, groups=c),
-                        Tensor(row[:, None, None, :]), zero)
-        sep = tz.conv2d(sep, ConvSpec(c, c, k, 1, groups=c),
-                        Tensor(col[:, None, :, None]), zero)
+        sep = tz.conv2d(x, Tensor(row[:, None, None, :]), zero)
+        sep = tz.conv2d(sep, Tensor(col[:, None, :, None]), zero)
         full_kernel = np.einsum("ci,cj->cij", col, row)[:, None]
-        full = tz.conv2d(x, ConvSpec(c, c, k, k, groups=c), Tensor(full_kernel), zero)
+        full = tz.conv2d(x, Tensor(full_kernel), zero)
         np.testing.assert_allclose(sep.data, full.data, atol=1e-5)
 
 
@@ -452,15 +474,14 @@ class TestGradCheck:
 
     def test_conv_norm_gate_chain(self):
         rng = np.random.default_rng(17)
-        spec = ConvSpec(out_ch=8, in_ch=4, kh=3, kw=3)
         x = Tensor(rng.normal(size=(1, 4, 6, 6)).astype(np.float32))
-        w = Tensor((rng.normal(size=spec.weight_shape) * 0.3).astype(np.float32))
+        w = Tensor((rng.normal(size=(8, 4, 3, 3)) * 0.3).astype(np.float32))
         b = Tensor((rng.normal(size=(1, 8, 1, 1)) * 0.1).astype(np.float32))
         gain = Tensor(np.ones((1, 4, 1, 1), np.float32))
         shift = Tensor(np.zeros((1, 4, 1, 1), np.float32))
 
         def f(p):
-            y = tz.conv2d(p[0], spec, p[1], p[2])
+            y = tz.conv2d(p[0], p[1], p[2])
             y = tz.simple_gate(y)
             y = tz.layer_norm(y, p[3], p[4])
             return tz.mean_all(tz.mul(y, y))
@@ -472,11 +493,10 @@ class TestDeterminism:
     def test_repeated_ops_are_bit_identical(self):
         rng = np.random.default_rng(19)
         x = Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32))
-        spec = ConvSpec(out_ch=8, in_ch=8, kh=3, kw=3)
-        w = Tensor(rng.normal(size=spec.weight_shape).astype(np.float32))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)).astype(np.float32))
         b = Tensor(rng.normal(size=(1, 8, 1, 1)).astype(np.float32))
-        a = tz.conv2d(x, spec, w, b)
-        c = tz.conv2d(x, spec, w, b)
+        a = tz.conv2d(x, w, b)
+        c = tz.conv2d(x, w, b)
         np.testing.assert_array_equal(a.data, c.data)
 
     def test_finite_outputs(self):

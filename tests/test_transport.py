@@ -44,8 +44,8 @@ def _sinkhorn_unrolled(m: CostVolume, cfg: SinkhornConfig) -> Tensor:
     u = tz.zeros((n, rows, w, 1), dtype=scores.dtype)
     v = tz.zeros((n, rows, 1, w), dtype=scores.dtype)
     for _ in range(cfg.iters):
-        v = tz.neg(tz.add(tz.logsumexp(tz.add(scores, u), axis=2), log_w))
-        u = tz.neg(tz.add(tz.logsumexp(tz.add(scores, v), axis=3), log_w))
+        v = tz.mul(tz.add(tz.logsumexp(tz.add(scores, u), axis=2), log_w), -1.0)
+        u = tz.mul(tz.add(tz.logsumexp(tz.add(scores, v), axis=3), log_w), -1.0)
     return tz.exp(tz.add(tz.add(tz.add(scores, u), v), log_w))
 
 
