@@ -14,12 +14,12 @@ import sys
 import numpy as np
 
 from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_png
-from .metrics import SSIM_WINDOW, psnr, ssim
+from .metrics import psnr, ssim
 from .model import (
-    MAX_COST_VOLUME,
     ModelConfig,
     StereoPair,
     WeightFormatError,
+    check_cost_volume,
     forward,
     load_weights,
     save_weights,
@@ -126,25 +126,7 @@ def parse_config_file(path) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 def _load_pair(left_path, right_path) -> StereoPair:
-    left, right = load_png(left_path).to_tensor(), load_png(right_path).to_tensor()
-    if left.shape != right.shape:
-        raise UsageError(
-            f"left view is {left.h}x{left.w} but right view is {right.h}x{right.w}; "
-            f"stereo views must have the same size"
-        )
-    return StereoPair(left=left, right=right)
-
-
-def _check_cost_volume(h: int, w: int, stages: int = 1) -> None:
-    """Reject a low-resolution size whose cost volumes, h * w * w elements
-    for each of ``stages`` cross-view stages held at once, add up to more
-    than MAX_COST_VOLUME."""
-    if h * w * w * stages > MAX_COST_VOLUME:
-        held = f" for each of {stages} cross-view stages" if stages > 1 else ""
-        raise UsageError(
-            f"low-resolution size {h}x{w} needs a cost volume of h*w*w = {h * w * w} "
-            f"elements{held}, above the bound of {MAX_COST_VOLUME}"
-        )
+    return StereoPair(left=load_png(left_path).to_tensor(), right=load_png(right_path).to_tensor())
 
 
 def _cmd_infer(args) -> int:
@@ -154,9 +136,7 @@ def _cmd_infer(args) -> int:
         raise UsageError(
             f"--scale {args.scale} does not match the weight file's scale {cfg.scale}"
         )
-    pair = _load_pair(args.left, args.right)
-    _check_cost_volume(pair.left.h, pair.left.w)
-    sr = forward(pair, store, cfg)
+    sr = forward(_load_pair(args.left, args.right), store, cfg)
     # quantize both views first: a non-finite output writes neither
     views = {"left_sr.png": ImageBuffer.from_tensor(sr.left),
              "right_sr.png": ImageBuffer.from_tensor(sr.right)}
@@ -185,8 +165,9 @@ def _cmd_overfit(args) -> int:
         left=_crop_to_multiple(hr.left, cfg.scale),
         right=_crop_to_multiple(hr.right, cfg.scale),
     )
-    # a taped step holds every stage's volumes until the backward
-    _check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale, len(cfg.deam_stages()))
+    # a taped step holds every stage's volumes until the backward; checked
+    # before the downsampling, whose dense matrices grow with the input
+    check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale, len(cfg.deam_stages()))
     lr = StereoPair(
         left=bicubic_downsample(hr.left, cfg.scale),
         right=bicubic_downsample(hr.right, cfg.scale),
@@ -239,18 +220,10 @@ def _cmd_sinkhorn_demo(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = load_png(args.ref).to_tensor()
     test = load_png(args.test).to_tensor()
-    if ref.shape != test.shape:
-        raise UsageError(
-            f"reference is {ref.h}x{ref.w} but test image is {test.h}x{test.w}; "
-            f"the images must have the same size"
-        )
-    if ref.h < SSIM_WINDOW or ref.w < SSIM_WINDOW:
-        raise UsageError(
-            f"images are {ref.h}x{ref.w}, smaller than the "
-            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
-        )
-    print(f"PSNR {psnr(ref, test):.2f}")
-    print(f"SSIM {ssim(ref, test):.4f}")
+    # both before either is printed: a failed SSIM prints nothing
+    psnr_db, ssim_score = psnr(ref, test), ssim(ref, test)
+    print(f"PSNR {psnr_db:.2f}")
+    print(f"SSIM {ssim_score:.4f}")
     return EXIT_OK
 
 
@@ -320,7 +293,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ShapeError) as e:   # before ValueError, ShapeError's base
         print(f"error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
@@ -329,7 +302,7 @@ def main(argv=None) -> int:
     except (OSError, PngError, WeightFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (NonConvergenceError, TrainingDivergedError, ShapeError, ValueError) as e:
+    except (NonConvergenceError, TrainingDivergedError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

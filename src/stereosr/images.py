@@ -118,28 +118,24 @@ def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
         )
     data = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = np.zeros((height, stride), dtype=np.uint8)
-    bpp = channels
+    # uint8 arithmetic wraps mod 256, which is the PNG rule
     for y in range(height):
         ftype = int(data[y, 0])
-        row = data[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y else np.zeros(stride, dtype=np.int32)
+        row = data[y, 1:]
         if ftype == 0:
-            line = row
+            out[y] = row
         elif ftype == 1:
-            line = row.copy()
-            for o in range(bpp):
-                line[o::bpp] = np.cumsum(row[o::bpp]) % 256
+            # each byte adds the decoded byte one pixel to its left
+            out[y] = np.cumsum(row.reshape(width, channels), axis=0, dtype=np.uint8).ravel()
         elif ftype == 2:
-            line = (row + prev) % 256
+            np.add(row, out[y - 1] if y else 0, out=out[y])
         elif ftype in (3, 4):
-            prev_bytes = out[y - 1].tobytes() if y else bytes(stride)
-            line = np.frombuffer(
-                _unfilter_predicted(data[y, 1:].tobytes(), prev_bytes, bpp, ftype == 4),
-                dtype=np.uint8,
+            prev = out[y - 1].tobytes() if y else bytes(stride)
+            out[y] = np.frombuffer(
+                _unfilter_predicted(row.tobytes(), prev, channels, ftype == 4), dtype=np.uint8
             )
         else:
             raise PngError(f"unknown scanline filter type {ftype} on row {y}")
-        out[y] = line.astype(np.uint8)
     return out.reshape(height, width, channels)
 
 

@@ -37,6 +37,18 @@ MAX_BRANCHES = 8
 MAX_COST_VOLUME = 2**25
 
 
+def check_cost_volume(h: int, w: int, stages: int = 1) -> None:
+    """Reject a low-resolution size whose cost volumes, h * w * w elements
+    for each of ``stages`` cross-view stages held at once, add up to more
+    than MAX_COST_VOLUME."""
+    if h * w * w * stages > MAX_COST_VOLUME:
+        held = f" for each of {stages} cross-view stages" if stages > 1 else ""
+        raise ShapeError(
+            f"low-resolution size {h}x{w} needs a cost volume of h*w*w = {h * w * w} "
+            f"elements{held}, above the bound of {MAX_COST_VOLUME}"
+        )
+
+
 class WeightFormatError(ValueError):
     """A weight file failed validation."""
 
@@ -91,9 +103,11 @@ class StereoPair:
     right: Tensor
 
     def __post_init__(self):
-        if self.left.shape != self.right.shape:
+        left, right = self.left, self.right
+        if left.shape != right.shape:
             raise ShapeError(
-                f"stereo views must share a shape: {self.left.shape} vs {self.right.shape}"
+                f"left view is {left.h}x{left.w} but right view is {right.h}x{right.w}; "
+                f"stereo views must share a shape: {left.shape} vs {right.shape}"
             )
 
 
@@ -239,12 +253,14 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
     interleaved, then a 3x3 conv + sub-pixel upsample.  With the global
     residual enabled the bilinear upsample of the input is added, so the
     stack only has to produce the high-frequency residue.  Output spatial
-    size is exactly (scale*h, scale*w).
+    size is exactly (scale*h, scale*w).  An input whose cost volume is over
+    MAX_COST_VOLUME raises ShapeError before any convolution runs.
     """
     if cfg is None:
         cfg = store.config
     if pair.left.c != 3:
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
+    check_cost_volume(pair.left.h, pair.left.w)
 
     left, right = _views(cfg)
     x_l = apply_conv(pair.left, store, f"{left}intro")

@@ -149,16 +149,9 @@ class GradTape:
         if loss.numel != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
-        # Forward sweep: which tensors can influence a requested parameter's
-        # gradient (i.e. are parameters or are computed from one).
         requested = {id(p) for p in params}
-        needed = set(requested)
-        for rec in self._records:
-            if any(id(t) in needed for t in rec.inputs):
-                needed.add(id(rec.output))
-
-        # Only needed tensors collect cotangents, so a record whose output
-        # has none is skipped whole.
+        # a record whose output the loss does not read gets no cotangent and
+        # is skipped whole
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for rec in reversed(self._records):
             out = id(rec.output)
@@ -169,10 +162,9 @@ class GradTape:
                 continue
             for t, dt in zip(rec.inputs, rec.backward(g)):
                 tid = id(t)
-                if tid in needed:
-                    # never in place: the summand may be shared with another input
-                    acc = grads.get(tid)
-                    grads[tid] = dt if acc is None else acc + dt
+                # never in place: the summand may be shared with another input
+                acc = grads.get(tid)
+                grads[tid] = dt if acc is None else acc + dt
         return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
 
 

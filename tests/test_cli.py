@@ -12,10 +12,10 @@ from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
 from stereosr.model import (
-    MAX_BLOCKS, MAX_BRANCHES, MAX_COST_VOLUME, MAX_WIDTH, ModelConfig, WeightStore, init_model,
-    save_weights,
+    MAX_BLOCKS, MAX_BRANCHES, MAX_COST_VOLUME, MAX_WIDTH, ModelConfig, WeightStore,
+    check_cost_volume, init_model, save_weights,
 )
-from stereosr.tensor import Tensor
+from stereosr.tensor import ShapeError, Tensor
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
 
@@ -144,7 +144,7 @@ class TestMetricsCommand:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: reference is 8x12 but test image is 8x16; the images must have the same size"
+            "error: shape mismatch: (1, 3, 8, 12) vs (1, 3, 8, 16)"
         ]
 
     def test_smaller_than_ssim_window_is_usage_error(self, tmp_path, capsys):
@@ -155,7 +155,7 @@ class TestMetricsCommand:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: images are 4x4, smaller than the 11x11 SSIM window"
+            "error: image 4x4 smaller than the 11x11 window"
         ]
 
 
@@ -426,9 +426,9 @@ class TestCostVolumeBound:
     @pytest.mark.parametrize("h, w", [(32, 1024), (128, 512)])
     def test_bound_admits_and_rejects_one_more_column(self, h, w):
         assert h * w * w == MAX_COST_VOLUME
-        cli._check_cost_volume(h, w)
-        with pytest.raises(cli.UsageError):
-            cli._check_cost_volume(h, w + 1)
+        check_cost_volume(h, w)
+        with pytest.raises(ShapeError):
+            check_cost_volume(h, w + 1)
 
     def test_infer_is_usage_error(self, tmp_path, capsys):
         # a 1x65536 pair would need a 16 GiB cost volume
@@ -566,3 +566,23 @@ class TestExitCodes:
         bad = [verify.CheckResult("fake_op", 1.0, 1e-4)]
         monkeypatch.setattr(cli, "gradient_suite", lambda seed: bad)
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERIC
+
+    def test_shape_error_is_usage(self, png_pair, tmp_path, monkeypatch, capsys):
+        # ShapeError is a ValueError, which otherwise maps to a numeric failure
+        def forward(*args):
+            raise ShapeError("views too wide")
+
+        monkeypatch.setattr(cli, "forward", forward)
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: views too wide"]
+        assert "Traceback" not in err

@@ -160,6 +160,22 @@ class TestForward:
         np.testing.assert_array_equal(base.left.data, other.left.data)
         np.testing.assert_array_equal(base.right.data, other.right.data)
 
+    def test_cost_volume_over_bound_rejected_before_any_convolution(self, monkeypatch):
+        # 1 * 5793^2 = 33,558,849 > 2^25; 1 * 5792^2 = 33,547,264 is within
+        def apply_conv(*args):
+            raise AssertionError("a convolution ran before the size check")
+
+        monkeypatch.setattr(md, "apply_conv", apply_conv)
+        store = md.init_model(tiny_config(), seed=0)
+        wide = StereoPair(left=tz.zeros((1, 3, 1, 5793)), right=tz.zeros((1, 3, 1, 5793)))
+        with pytest.raises(tz.ShapeError, match="1x5793"):
+            md.forward(wide, store)
+        md.check_cost_volume(1, 5792)
+
+    def test_views_of_different_sizes_rejected(self):
+        with pytest.raises(tz.ShapeError, match="left view is 8x12 but right view is 8x16"):
+            StereoPair(left=tz.zeros((1, 3, 8, 12)), right=tz.zeros((1, 3, 8, 16)))
+
     def test_wrong_channel_count_rejected(self):
         cfg = tiny_config()
         store = md.init_model(cfg, seed=0)
