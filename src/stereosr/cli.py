@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import sys
 
@@ -59,6 +60,9 @@ class _Parser(argparse.ArgumentParser):
 # Config files: one `key = value` per line, '#' comments, unknown keys rejected
 # ---------------------------------------------------------------------------
 
+# Longest config file read: the keys and their values fit in a few hundred bytes.
+MAX_CONFIG_BYTES = 64 * 1024
+
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 # the keys are ModelConfig's fields; an integer or boolean default gives
@@ -87,9 +91,12 @@ def parse_config_file(path) -> ModelConfig:
     """Read a ModelConfig from `key = value` lines; omitted keys keep their
     defaults, unknown keys are rejected."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        blob = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(blob) > MAX_CONFIG_BYTES:
+            raise UsageError(f"{path}: config file is longer than {MAX_CONFIG_BYTES} bytes")
         try:
-            lines = fh.readlines()
+            lines = io.StringIO(blob.decode("utf-8"), newline=None).readlines()
         except UnicodeDecodeError as e:
             raise UsageError(f"{path}: config file is not UTF-8 text: {e}") from e
         for lineno, raw in enumerate(lines, start=1):

@@ -24,6 +24,13 @@ _COLOR_TYPE_NAMES = {0: "grayscale", 2: "rgb", 3: "palette", 4: "grayscale+alpha
 # the header implies, so neither can grow past what this allows.
 MAX_PIXELS = 1 << 24
 
+# Longest PNG file read.  An image of at most MAX_PIXELS pixels inflates to
+# at most 2^26 bytes: three bytes a pixel and one filter byte a row, with no
+# more rows than pixels.  Stored (uncompressed) deflate blocks add 5 bytes
+# per 65,535 and each chunk 12, so a file whose chunks carry at least 12
+# bytes each fits in twice that.
+MAX_PNG_BYTES = 1 << 27
+
 
 class PngError(ValueError):
     """A PNG stream failed validation or is unsupported."""
@@ -199,8 +206,16 @@ def decode_png(blob: bytes) -> ImageBuffer:
 
 
 def load_png(path) -> ImageBuffer:
+    """Decode the PNG file at ``path``; its signature is checked before the
+    rest, at most MAX_PNG_BYTES, is read."""
     with open(path, "rb") as fh:
-        return decode_png(fh.read())
+        blob = fh.read(len(_PNG_SIGNATURE))
+        if blob != _PNG_SIGNATURE:
+            raise PngError("missing PNG signature")
+        blob += fh.read(MAX_PNG_BYTES + 1 - len(blob))
+    if len(blob) > MAX_PNG_BYTES:
+        raise PngError(f"PNG file is longer than {MAX_PNG_BYTES} bytes")
+    return decode_png(blob)
 
 
 # ---------------------------------------------------------------------------

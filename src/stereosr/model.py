@@ -4,6 +4,8 @@ sub-pixel reconstruction head, and weight-store (de)serialization."""
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -37,12 +39,15 @@ MAX_BRANCHES = 8
 MAX_COST_VOLUME = 2**25
 
 
-def check_cost_volume(h: int, w: int, stages: int = 1) -> None:
+def check_cost_volume(h: int, w: int, stages: int = 1, batch: int = 1) -> None:
     """Reject a low-resolution size whose cost volumes, h * w * w elements
-    for each of ``stages`` cross-view stages held at once, add up to more
-    than MAX_COST_VOLUME."""
-    if h * w * w * stages > MAX_COST_VOLUME:
-        held = f" for each of {stages} cross-view stages" if stages > 1 else ""
+    for each of ``batch`` pairs and ``stages`` cross-view stages held at
+    once, add up to more than MAX_COST_VOLUME."""
+    total = batch * stages * h * w * w
+    if total > MAX_COST_VOLUME:
+        counts = [f"{k} {what}" for k, what in ((batch, "pairs"), (stages, "cross-view stages"))
+                  if k > 1]
+        held = f", {total} for {' and '.join(counts)}" if counts else ""
         raise ShapeError(
             f"low-resolution size {h}x{w} needs a cost volume of h*w*w = {h * w * w} "
             f"elements{held}, above the bound of {MAX_COST_VOLUME}"
@@ -218,9 +223,9 @@ def init_model(cfg: ModelConfig, seed: int) -> WeightStore:
 
 
 def _check_layout(store: WeightStore) -> None:
-    """Raise WeightFormatError unless ``store`` holds exactly the tensors
-    its config's layout lists, with the listed shapes."""
-    count = 0
+    """Raise WeightFormatError unless ``store`` holds every tensor its
+    config's layout lists, with the listed shapes.  A store read from a file
+    no longer than ``_file_size`` then holds no other tensor."""
     for name, shape, _ in layout(store.config):
         if name not in store:
             raise WeightFormatError(f"missing tensor {name!r}, which the config needs")
@@ -228,13 +233,6 @@ def _check_layout(store: WeightStore) -> None:
             raise WeightFormatError(
                 f"tensor {name!r} has shape {store[name].shape}, the config needs {shape}"
             )
-        count += 1
-    if len(store) != count:
-        known = {name for name, _, _ in layout(store.config)}
-        extra = [name for name in store.names() if name not in known]
-        raise WeightFormatError(
-            f"{len(extra)} tensor(s) the config does not use, first {extra[0]!r}"
-        )
 
 
 def _params(store: WeightStore, prefix: str, rows) -> dict[str, Tensor]:
@@ -253,14 +251,15 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
     interleaved, then a 3x3 conv + sub-pixel upsample.  With the global
     residual enabled the bilinear upsample of the input is added, so the
     stack only has to produce the high-frequency residue.  Output spatial
-    size is exactly (scale*h, scale*w).  An input whose cost volume is over
-    MAX_COST_VOLUME raises ShapeError before any convolution runs.
+    size is exactly (scale*h, scale*w).  An input whose cost volumes, one per
+    pair of the batch, are together over MAX_COST_VOLUME raises ShapeError
+    before any convolution runs.
     """
     if cfg is None:
         cfg = store.config
     if pair.left.c != 3:
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
-    check_cost_volume(pair.left.h, pair.left.w)
+    check_cost_volume(pair.left.h, pair.left.w, batch=pair.left.n)
 
     left, right = _views(cfg)
     x_l = apply_conv(pair.left, store, f"{left}intro")
@@ -319,16 +318,34 @@ def save_weights(store: WeightStore, path) -> None:
         fh.write(bytes(out))
 
 
+def _file_size(cfg: ModelConfig) -> int:
+    """Bytes of a weight file of ``cfg``: the header, then per tensor of the
+    layout its name, rank and dims and its float32 values."""
+    header = 4 + 4 + 16 + 12 * len(cfg.lska_branches) + 8 + 4
+    return header + sum(2 + len(name.encode("utf-8")) + 1 + 16 + 4 * math.prod(shape)
+                        for name, shape, _ in layout(cfg))
+
+
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Takes a weight file's fields in order from the bytes read so far."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.blob = b""
+        self.pos = 0      # of the next field in ``blob``
+        self.offset = 0   # of blob[0] in the file
+
+    def read(self, count: int) -> None:
+        """Keep the bytes not yet taken and read up to ``count`` more."""
+        self.blob = self.blob[self.pos:] + self.fh.read(count)
+        self.offset += self.pos
         self.pos = 0
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
             raise WeightFormatError(
-                f"truncated weight file: needs {count} bytes at offset {self.pos}, "
-                f"only {len(self.blob) - self.pos} remain"
+                f"truncated weight file: needs {count} bytes at offset "
+                f"{self.offset + self.pos}, only {len(self.blob) - self.pos} remain"
             )
         chunk = self.blob[self.pos:self.pos + count]
         self.pos += count
@@ -340,33 +357,48 @@ class _Reader:
 
 def load_weights(path) -> WeightStore:
     """Read a weight file, validating magic, version, flags, framing, and
-    the tensor names and shapes against the config's layout."""
+    the tensor names and shapes against the config's layout.  The magic is
+    checked first; past the config block the file is read no further than
+    ``_file_size`` of the config plus one byte, which tells a longer file."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
-    if r.take(4) != MAGIC:
-        raise WeightFormatError(f"bad magic bytes; not a weight file: {path}")
-    (version,) = r.unpack("<I")
-    if version != FORMAT_VERSION:
-        raise WeightFormatError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
-    *sizes, branch_count = r.unpack("<IIII")   # n_blocks, width, scale
-    if branch_count > MAX_BRANCHES:
+        r = _Reader(fh)
+        r.read(len(MAGIC))
+        if r.take(len(MAGIC)) != MAGIC:
+            raise WeightFormatError(f"bad magic bytes; not a weight file: {path}")
+        r.read(20)   # version, n_blocks, width, scale, branch_count
+        (version,) = r.unpack("<I")
+        if version != FORMAT_VERSION:
+            raise WeightFormatError(
+                f"unsupported format version {version} (expected {FORMAT_VERSION})")
+        *sizes, branch_count = r.unpack("<IIII")   # n_blocks, width, scale
+        if branch_count > MAX_BRANCHES:
+            raise WeightFormatError(
+                f"invalid config block: branch_count must be at most {MAX_BRANCHES}, "
+                f"got {branch_count}"
+            )
+        r.read(12 * branch_count + 8)   # the branches, sinkhorn_iters, flags
+        branches = [r.unpack("<III") for _ in range(branch_count)]
+        sinkhorn_iters, flags = r.unpack("<II")
+        if flags >> len(_FLAG_FIELDS):
+            raise WeightFormatError(f"unknown config flag bits: {flags:#x}")
+        try:
+            cfg = ModelConfig(
+                *sizes, lska_branches=tuple(LskaBranch(*b) for b in branches),
+                sinkhorn_iters=sinkhorn_iters,
+                **{name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS)},
+            )
+        except ValueError as e:
+            raise WeightFormatError(f"invalid config block: {e}") from e
+        size = _file_size(cfg)
+        # a regular file is asked for no more than it holds, so a short one
+        # that claims a huge config allocates nothing that size
+        st = os.fstat(fh.fileno())
+        end = min(size + 1, st.st_size) if stat.S_ISREG(st.st_mode) else size + 1
+        r.read(end - r.offset - r.pos)
+    if r.offset + len(r.blob) > size:
         raise WeightFormatError(
-            f"invalid config block: branch_count must be at most {MAX_BRANCHES}, "
-            f"got {branch_count}"
-        )
-    branches = [r.unpack("<III") for _ in range(branch_count)]
-    sinkhorn_iters, flags = r.unpack("<II")
-    if flags >> len(_FLAG_FIELDS):
-        raise WeightFormatError(f"unknown config flag bits: {flags:#x}")
-    try:
-        cfg = ModelConfig(
-            *sizes, lska_branches=tuple(LskaBranch(*b) for b in branches),
-            sinkhorn_iters=sinkhorn_iters,
-            **{name: bool(flags >> i & 1) for i, name in enumerate(_FLAG_FIELDS)},
-        )
-    except ValueError as e:
-        raise WeightFormatError(f"invalid config block: {e}") from e
+            f"trailing bytes: the weight file runs past the {size} bytes that a file "
+            f"of its config takes")
 
     (tensor_count,) = r.unpack("<I")
     store = WeightStore(cfg)
@@ -384,7 +416,7 @@ def load_weights(path) -> WeightStore:
         # would pass the framing check
         raw = r.take(4 * math.prod(dims))
         store.add(name, Tensor(np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)))
-    if r.pos != len(blob):
-        raise WeightFormatError(f"{len(blob) - r.pos} trailing bytes after last tensor")
+    if r.pos != len(r.blob):
+        raise WeightFormatError(f"{len(r.blob) - r.pos} trailing bytes after last tensor")
     _check_layout(store)
     return store

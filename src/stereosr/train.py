@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import psnr
-from .model import ModelConfig, StereoPair, WeightStore, forward, init_model
+from .model import ModelConfig, StereoPair, WeightStore, check_cost_volume, forward, init_model
 from .tensor import GradTape, ShapeError, Tensor, add, mean_all, mul, spectral_l1, sub
 
 
@@ -107,7 +107,9 @@ def overfit(pair_lr: StereoPair, pair_hr: StereoPair, cfg: ModelConfig, steps: i
     update under the cosine schedule.  PSNR per view is logged against the
     target with the output clipped to [0, 1] (matching what inference would
     write out).  Deterministic for a fixed seed; a non-finite loss aborts
-    with the offending step index.
+    with the offending step index.  A taped step holds every cross-view
+    stage's cost volumes until the backward, so an input whose volumes add
+    up to more than MAX_COST_VOLUME raises ShapeError before any work.
     """
     r = cfg.scale
     if (pair_hr.left.h, pair_hr.left.w) != (r * pair_lr.left.h, r * pair_lr.left.w):
@@ -115,6 +117,7 @@ def overfit(pair_lr: StereoPair, pair_hr: StereoPair, cfg: ModelConfig, steps: i
             f"target size {pair_hr.left.h}x{pair_hr.left.w} is not {r}x the "
             f"input size {pair_lr.left.h}x{pair_lr.left.w}"
         )
+    check_cost_volume(pair_lr.left.h, pair_lr.left.w, len(cfg.deam_stages()), pair_lr.left.n)
     store = init_model(cfg, seed)
     momentum = [np.zeros_like(t.data) for t in store.tensors()]
     log: list[StepLog] = []

@@ -6,17 +6,18 @@ normalized with Sinkhorn iterations instead of a softmax.  The result is an
 approximately doubly stochastic transport plan: rows sum to 1 exactly after
 the final row update, columns converge toward 1 with more iterations.
 
-The normalization is one tape primitive, computed in one of two forms of the
-same function.  The scaling form (Cuturi 2013) exponentiates the scores once
-and then alternates batched mat-vecs; it runs whenever every row matrix of
-the call spans at most ``SCALING_MAX_RANGE``.  A call with a wider row
+The normalization computes one function in one of two forms.  The scaling
+form (Cuturi 2013) exponentiates the scores once and then alternates
+batched mat-vecs, as one tape primitive; it runs whenever every row matrix
+of the call spans at most ``SCALING_MAX_RANGE``.  A call with a wider row
 matrix runs the log-domain iterations (Schmitzer 2019), which cannot
-overflow but exponentiate the whole volume twice per iteration.  Either way
-the primitive keeps only per-iteration vectors, so on a tape it holds two
-cost-sized volumes (the scores and the plan) however many iterations it
-runs.  Fusion mixes features across views through the plan, scaled by
-per-channel weights that start at zero so the module is the identity at
-initialization.
+overflow but exponentiate the whole volume twice per iteration; each of
+its dual updates and its plan is a primitive with a local backward.  Either
+way the records keep only per-iteration vectors besides the plan, so on a
+tape the normalization holds two cost-sized volumes (the scores and the
+plan) however many iterations it runs.  Fusion mixes features across views
+through the plan, scaled by per-channel weights that start at zero so the
+module is the identity at initialization.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import apply_conv, conv_rows, norm_rows
-from .tensor import ShapeError, Tensor, _record, add, layer_norm, mul
+from .tensor import ShapeError, Tensor, _record, _unbroadcast, add, layer_norm, mul
 
 # Sinkhorn iterations per normalization.  The forward keeps two duals per
 # iteration, so the cap bounds memory as well as work.
@@ -144,110 +145,94 @@ def carry(plan: Tensor, values: Tensor, to_left: bool) -> Tensor:
     return out
 
 
-def _dual_update(scores: np.ndarray, dual: np.ndarray, axis: int, work: np.ndarray,
-                 log_w) -> np.ndarray:
-    """-log w - LSE_axis(scores + dual), max-shifted, computed in ``work``.
+def _dual_update(scores: Tensor, dual: Tensor, axis: int) -> Tensor:
+    """-log w - LSE_axis(scores + dual), max-shifted, as a tape primitive.
 
     The numpy operations and their order are those of ``tensor.logsumexp``
     followed by ``add`` and ``mul`` by -1, so the result is bit-identical
-    to that composition.
+    to that composition.  The backward rebuilds the update's softmax
+    S = exp(scores + dual + out + log w) in a fresh volume, so the record
+    holds only vectors besides the scores.
     """
-    np.add(scores, dual, out=work)
+    s, d = scores.data, dual.data
+    log_w = s.dtype.type(math.log(s.shape[3]))
+    work = np.add(s, d)
     top = work.max(axis=axis, keepdims=True)
     work -= top
     np.exp(work, out=work)
-    out = np.log(work.sum(axis=axis, keepdims=True))
-    out += top
-    out += log_w
-    return np.negative(out, out=out)
+    lse = np.log(work.sum(axis=axis, keepdims=True))
+    lse += top
+    lse += log_w
+    out = Tensor(np.negative(lse, out=lse))
 
+    def bwd(g):
+        grad = np.add(s, d)
+        grad += out.data
+        grad += log_w
+        np.exp(grad, out=grad)
+        grad *= g
+        np.negative(grad, out=grad)
+        return grad, _unbroadcast(grad, d.shape)
 
-def _pull_dual_update(scores: np.ndarray, dual_in: np.ndarray, dual_out: np.ndarray,
-                      cot: np.ndarray, axis: int, work: np.ndarray, grad: np.ndarray,
-                      log_w) -> np.ndarray:
-    """Backward of ``dual_out = -log w - LSE(scores + dual_in)``.
-
-    The update's softmax is exp(scores + dual_in + dual_out + log w).  Adds
-    the scores' share of the pullback of ``cot`` to ``grad`` and returns the
-    cotangent of ``dual_in``, which is broadcast along ``axis``.
-    """
-    np.add(scores, dual_in, out=work)
-    work += dual_out
-    work += log_w
-    np.exp(work, out=work)
-    work *= cot
-    grad -= work
-    return -work.sum(axis=axis, keepdims=True)
+    _record("sinkhorn", (scores, dual), out, bwd)
+    return out
 
 
 def _log_domain_sinkhorn(m: CostVolume, cfg: SinkhornConfig) -> TransportPlan:
-    """Log-domain Sinkhorn normalization of a cost volume, as one primitive.
+    """Log-domain Sinkhorn normalization of a cost volume.
 
     Per row: duals start at zero, then for each iteration the column dual is
     refreshed from a column-wise logsumexp and the row dual from a row-wise
     one (columns first), and the plan is exp(M + u + v + log w).  All
-    updates are overflow-safe for any finite scores.
-
-    The forward reuses one work volume in place and keeps only the duals
-    u_0..u_K and v_1..v_K.  The backward is the gradient of the unrolled
-    iterations: it replays them in reverse, rebuilding each update's
-    softmax from the scores and the two duals it links.
+    updates are overflow-safe for any finite scores.  Each update and the
+    plan is a primitive with a local backward, so the tape's reverse replay
+    of the 2 * iters + 1 records is the gradient of the unrolled iterations.
     """
     scores = m.values
     s = scores.data
     n, rows, _, w = s.shape
-    log_w = s.dtype.type(math.log(w))
-    work = np.empty_like(s)
-    us = [np.zeros((n, rows, w, 1), dtype=s.dtype)]
-    vs = []
+    u = Tensor(np.zeros((n, rows, w, 1), dtype=s.dtype))
     for _ in range(cfg.iters):
         # log marginal is -log w on both sides: v = -log w - LSE_i(M + u)
-        vs.append(_dual_update(s, us[-1], 2, work, log_w))
-        us.append(_dual_update(s, vs[-1], 3, work, log_w))
-    np.add(s, us[-1], out=work)
-    work += vs[-1]
-    work += log_w
+        v = _dual_update(scores, u, 2)
+        u = _dual_update(scores, v, 3)
+    work = np.add(s, u.data)
+    work += v.data
+    work += s.dtype.type(math.log(w))
     plan = Tensor(np.exp(work, out=work))
 
     def bwd(g):
         grad = g * plan.data
-        gu = grad.sum(axis=3, keepdims=True)
-        gv = grad.sum(axis=2, keepdims=True)
-        work = np.empty_like(s)
-        for k in reversed(range(cfg.iters)):
-            # vs[k] feeds us[k + 1] = -log w - LSE_j(M + vs[k]) and, last, the plan
-            gv += _pull_dual_update(s, vs[k], us[k + 1], gu, 2, work, grad, log_w)
-            # us[k] feeds vs[k] = -log w - LSE_i(M + us[k]) and nothing later
-            gu = _pull_dual_update(s, us[k], vs[k], gv, 3, work, grad, log_w)
-            gv = np.zeros_like(gv)
-        return (grad,)
+        return grad, _unbroadcast(grad, u.shape), _unbroadcast(grad, v.shape)
 
-    _record("sinkhorn", (scores,), plan, bwd)
+    _record("sinkhorn", (scores, u, v), plan, bwd)
     return TransportPlan(values=plan)
 
 
 def sinkhorn(m: CostVolume, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
-    """Sinkhorn normalization of a cost volume, as one tape primitive.
+    """Sinkhorn normalization of a cost volume.
 
     Per row matrix M (w x w) the plan is that of ``cfg.iters`` log-domain
     Sinkhorn iterations from zero duals, columns first: rows sum to 1
     exactly (up to rounding) and columns converge toward 1.
 
     When every row matrix spans at most ``SCALING_MAX_RANGE`` it runs in
-    the scaling domain (Cuturi 2013), the same function with one ``exp``:
-    K = exp(M - max M), then b = 1 / (w K^T a) and a = 1 / (w K b) from
-    a = 1, and the plan w * a_i K_ij b_j, built in place over K.  The
-    backward is the gradient of the unrolled iterations.  It rebuilds K
-    from the scores and pulls the cotangents alpha = a * da and
-    beta = b * db back through the mat-vecs; every iteration adds two
-    rank-1 terms to the scores' gradient, and all of them are applied at
-    once as K * (U V), one batched matrix product.  Only the vectors
-    a_0..a_K and b_1..b_K are held, so on a tape the primitive keeps two
-    cost-sized volumes (the scores and the plan).
+    the scaling domain (Cuturi 2013), the same function with one ``exp``,
+    as one tape primitive: K = exp(M - max M), then b = 1 / (w K^T a) and
+    a = 1 / (w K b) from a = 1, and the plan w * a_i K_ij b_j, built in
+    place over K.  The backward is the gradient of the unrolled
+    iterations.  It rebuilds K from the scores and pulls the cotangents
+    alpha = a * da and beta = b * db back through the mat-vecs; every
+    iteration adds two rank-1 terms to the scores' gradient, and all of
+    them are applied at once as K * (U V), one batched matrix product.
+    Only the vectors a_0..a_K and b_1..b_K are held, so on a tape the
+    primitive keeps two cost-sized volumes (the scores and the plan).
 
     A call with a wider row matrix anywhere runs the log-domain iterations
     instead (the stabilized form of Schmitzer 2019), whose updates cannot
-    overflow.
+    overflow.  There each update and the plan is a primitive with a local
+    backward: 2 * iters + 1 records, all named ``sinkhorn``, that hold the
+    same two volumes.
     """
     scores = m.values
     s = scores.data

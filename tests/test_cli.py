@@ -1,13 +1,19 @@
 """CLI surface: subcommands, config parsing, output formats, exit codes."""
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stereosr
 from stereosr import cli
+from stereosr import images
 from stereosr import verify
 from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
@@ -348,6 +354,81 @@ class TestNonFiniteOutput:
         assert [line for line in captured.err.splitlines() if line] == [
             "error: cannot quantize an image with NaN or infinite values"]
         assert list(tmp_path.glob("**/*_sr.png")) == []
+
+
+def _run_capped(argv):
+    """Exit code and stderr of the CLI run in a child interpreter whose
+    address space is capped at 1.5 GiB."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))\n"
+              "from stereosr.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": str(Path(stereosr.__file__).resolve().parent.parent),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestFileSizeBounds:
+    def test_config_longer_than_the_bound_is_usage_error(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        line = "# padding\n"
+        full, rest = divmod(cli.MAX_CONFIG_BYTES, len(line))
+        path.write_text(line * full + "#" * rest)
+        assert cli.parse_config_file(path) == ModelConfig()
+        path.write_text(path.read_text() + "\n")
+        with pytest.raises(cli.UsageError, match=f"longer than {cli.MAX_CONFIG_BYTES} bytes"):
+            cli.parse_config_file(path)
+
+    def test_png_longer_than_the_bound_is_png_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.png"
+        save_png(ImageBuffer(np.zeros((4, 5, 3), np.uint8)), path)
+        size = path.stat().st_size
+        monkeypatch.setattr(images, "MAX_PNG_BYTES", size)
+        assert load_png(path).pixels.shape == (4, 5, 3)
+        monkeypatch.setattr(images, "MAX_PNG_BYTES", size - 1)
+        with pytest.raises(images.PngError, match=f"longer than {size - 1} bytes"):
+            load_png(path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("endless, code", [
+        ("config", cli.EXIT_USAGE), ("weights", cli.EXIT_IO), ("left", cli.EXIT_IO),
+        ("weights_hole", cli.EXIT_IO), ("weights_claim", cli.EXIT_IO),
+    ])
+    def test_endless_input_fails_in_a_capped_child(self, png_pair, tmp_path, endless, code):
+        # reading all of /dev/zero or of a 3 GiB hole, or allocating the
+        # 2 GB a short file's first tensor claims, would exhaust the cap
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        if endless == "weights_hole":
+            os.truncate(weights, weights.stat().st_size + 3 * 2**30)
+        if endless == "weights_claim":
+            # a config whose files take 2.45 GB: every cap, the widest
+            # branches, separate view weights
+            header = struct.pack("<4s5I", b"MSIN", 1, MAX_BLOCKS, MAX_WIDTH, 4, MAX_BRANCHES)
+            header += struct.pack("<3I", 127, 1, 1) * MAX_BRANCHES + struct.pack("<3I", 10, 0, 1)
+            name = b"intro.weight"
+            claim = struct.pack("<H", len(name)) + name + struct.pack("<B4I", 4, 1, 1, 1, 5 * 10**8)
+            weights.write_bytes(header + claim + bytes(64))
+        if endless == "config":
+            argv = ["overfit", "--left", str(left), "--right", str(right),
+                    "--config", "/dev/zero", "--steps", "1", "--out", str(tmp_path / "fit.msin")]
+        else:
+            argv = ["infer", "--left", "/dev/zero" if endless == "left" else str(left),
+                    "--right", str(right),
+                    "--weights", "/dev/zero" if endless == "weights" else str(weights),
+                    "--out-dir", str(tmp_path / "o")]
+        got, err = _run_capped(argv)
+        assert got == code, err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestOsErrors:

@@ -172,6 +172,20 @@ class TestForward:
             md.forward(wide, store)
         md.check_cost_volume(1, 5792)
 
+    def test_batch_counts_in_the_cost_volume_bound(self, monkeypatch):
+        # 2 * 1 * 4097^2 = 33,570,818 > 2^25; one such pair is within
+        def apply_conv(*args):
+            raise AssertionError("a convolution ran")
+
+        monkeypatch.setattr(md, "apply_conv", apply_conv)
+        store = md.init_model(tiny_config(), seed=0)
+        two = StereoPair(left=tz.zeros((2, 3, 1, 4097)), right=tz.zeros((2, 3, 1, 4097)))
+        with pytest.raises(tz.ShapeError, match="33570818 for 2 pairs"):
+            md.forward(two, store)
+        one = StereoPair(left=tz.zeros((1, 3, 1, 4097)), right=tz.zeros((1, 3, 1, 4097)))
+        with pytest.raises(AssertionError, match="a convolution ran"):
+            md.forward(one, store)
+
     def test_views_of_different_sizes_rejected(self):
         with pytest.raises(tz.ShapeError, match="left view is 8x12 but right view is 8x16"):
             StereoPair(left=tz.zeros((1, 3, 8, 12)), right=tz.zeros((1, 3, 8, 16)))
@@ -323,7 +337,16 @@ class TestSerialization:
         cfg = store.config
         header = 4 + 4 + 4 * 4 + 12 * len(cfg.lska_branches) + 4 * 2 + 4
         body = sum(2 + len(n.encode()) + 1 + 4 * 4 + 4 * t.numel for n, t in store.items())
-        assert path.stat().st_size == header + body
+        assert path.stat().st_size == header + body == md._file_size(cfg)
+
+    def test_tensor_past_the_config_size_rejected(self, tmp_path):
+        # an extra tensor runs past the bytes the config's layout takes
+        store = self._store()
+        extra = WeightStore(store.config, [*store.items(), ("extra", tz.zeros((1, 1, 1, 1)))])
+        path = tmp_path / "weights.msin"
+        md.save_weights(extra, path)
+        with pytest.raises(WeightFormatError, match="runs past the"):
+            md.load_weights(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "weights.msin"

@@ -8,9 +8,10 @@ import pytest
 
 from stereosr import train as tr
 from stereosr import tensor as tz
+from stereosr import transport as ot
 from stereosr import verify
 from stereosr.blocks import LskaBranch
-from stereosr.model import ModelConfig, StereoPair, forward, init_model
+from stereosr.model import ModelConfig, StereoPair, forward, init_model, init_params
 from stereosr.tensor import Tensor
 from stereosr.train import BETA1, BETA2, FREQ_WEIGHT, StepLog
 
@@ -220,16 +221,54 @@ def _acceptance_step():
     return tape, store.tensors(), n_forward
 
 
+def _wide_range_stage():
+    """A taped cross-view stage whose norm gains of 30 spread the scores
+    past SCALING_MAX_RANGE, so its normalization runs in the log domain."""
+    c = 4
+    p = init_params(ot.deam_layout(c), np.random.default_rng(22))
+    p["norm_l.gain"] = p["norm_r.gain"] = tz.full((1, c, 1, 1), 30.0)
+    rng = np.random.default_rng(23)
+    x_l, x_r = (Tensor(rng.normal(size=(1, c, 3, 8)).astype(np.float32)) for _ in range(2))
+    with tz.GradTape() as tape:
+        ot.deam_forward(x_l, x_r, p)
+    return tape
+
+
 class TestTapeCoverage:
     def test_every_recorded_primitive_has_a_gradient_check(self):
         # a record name is covered by a check of the same name or one that
-        # extends it (conv2d by conv2d_1x1, spectral_l1 by spectral_l1_even)
+        # extends it (conv2d by conv2d_1x1, spectral_l1 by spectral_l1_even);
+        # the wide-range stage adds the records of the log-domain fallback
         tape, _, _ = _acceptance_step()
-        recorded = {rec.name for rec in tape._records}
+        wide = _wide_range_stage()
+        assert [rec.name for rec in wide._records].count("sinkhorn") == 2 * 10 + 1
+        recorded = {rec.name for rec in tape._records + wide._records}
         checked = [r.name for r in verify.primitive_checks()]
         assert {"cost_matrix", "carry", "sinkhorn", "conv2d", "spectral_l1"} <= recorded
         assert [name for name in sorted(recorded)
                 if not any(row.startswith(name) for row in checked)] == []
+
+
+class TestOverfitBound:
+    @pytest.mark.parametrize("w, admitted", [(256, True), (257, False)])
+    def test_taped_step_bound_checked_before_init_model(self, monkeypatch, w, admitted):
+        # default config: 32 stages * 16 * 256^2 = 2^25; 16 * 257^2 * 32 = 33,817,088
+        class Reached(Exception):
+            pass
+
+        def init_model(cfg, seed):
+            raise Reached
+
+        monkeypatch.setattr(tr, "init_model", init_model)
+        cfg = ModelConfig()
+        lr, hr = (StereoPair(*(tz.zeros((1, 3, k * 16, k * w)) for _ in range(2)))
+                  for k in (1, cfg.scale))
+        if admitted:
+            with pytest.raises(Reached):
+                tr.overfit(lr, hr, cfg, steps=1)
+        else:
+            with pytest.raises(tz.ShapeError, match="16x257.*33817088 for 32 cross-view stages"):
+                tr.overfit(lr, hr, cfg, steps=1)
 
 
 class TestTapeHygiene:

@@ -156,6 +156,26 @@ class TestFusedSinkhorn:
         ot.sinkhorn(CostVolume(values=Tensor(scores.astype(np.float32))))
         assert len(calls) == falls_back
 
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_taped_fallback_holds_two_volumes(self, iters):
+        # span 100 sends the call to the log domain: one record per dual
+        # update and one for the plan, which between them hold no volume but
+        # the scores and the plan
+        rng = np.random.default_rng(32)
+        shape = (2, 3, 8, 8)
+        scores = Tensor(_score_layout("uniform", 100.0, shape, rng).astype(np.float32))
+        with tz.GradTape() as tape:
+            plan = ot.sinkhorn(CostVolume(values=scores), SinkhornConfig(iters=iters)).values
+        assert [rec.name for rec in tape._records] == ["sinkhorn"] * (2 * iters + 1)
+        held = set()
+        for rec in tape._records:
+            cells = [cell.cell_contents for cell in rec.backward.__closure__ or ()]
+            for obj in [*rec.inputs, rec.output, *cells]:
+                arr = obj.data if isinstance(obj, Tensor) else obj
+                if isinstance(arr, np.ndarray) and arr.shape == shape:
+                    held.add(id(arr))
+        assert held == {id(scores.data), id(plan.data)}
+
     def test_taped_stage_records_one_sinkhorn(self):
         n, c, h, w = 2, 4, 3, 5
         p = init_params(ot.deam_layout(c), np.random.default_rng(20))
