@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     except (OSError, PngError, WeightFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as e:   # an allocation failed; numpy's says what it asked for
+        print(f"error: out of memory{': ' + str(e) if str(e) else ''}", file=sys.stderr)
+        return EXIT_IO
     except (NonConvergenceError, TrainingDivergedError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -4,8 +4,6 @@ sub-pixel reconstruction head, and weight-store (de)serialization."""
 from __future__ import annotations
 
 import math
-import os
-import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -326,6 +324,11 @@ def _file_size(cfg: ModelConfig) -> int:
                         for name, shape, _ in layout(cfg))
 
 
+# Largest single read from a weight file: a read reserves the bytes asked
+# for before they arrive.
+READ_PIECE_BYTES = 1 << 20
+
+
 class _Reader:
     """Takes a weight file's fields in order from the bytes read so far."""
 
@@ -336,8 +339,17 @@ class _Reader:
         self.offset = 0   # of blob[0] in the file
 
     def read(self, count: int) -> None:
-        """Keep the bytes not yet taken and read up to ``count`` more."""
-        self.blob = self.blob[self.pos:] + self.fh.read(count)
+        """Keep the bytes not yet taken and read up to ``count`` more, in
+        pieces of at most READ_PIECE_BYTES, so a file that ends early
+        never has the whole count reserved."""
+        pieces = [self.blob[self.pos:]]
+        while count > 0:
+            more = self.fh.read(min(count, READ_PIECE_BYTES))
+            if not more:
+                break
+            pieces.append(more)
+            count -= len(more)
+        self.blob = b"".join(pieces)
         self.offset += self.pos
         self.pos = 0
 
@@ -390,11 +402,7 @@ def load_weights(path) -> WeightStore:
         except ValueError as e:
             raise WeightFormatError(f"invalid config block: {e}") from e
         size = _file_size(cfg)
-        # a regular file is asked for no more than it holds, so a short one
-        # that claims a huge config allocates nothing that size
-        st = os.fstat(fh.fileno())
-        end = min(size + 1, st.st_size) if stat.S_ISREG(st.st_mode) else size + 1
-        r.read(end - r.offset - r.pos)
+        r.read(size + 1 - r.offset - r.pos)
     if r.offset + len(r.blob) > size:
         raise WeightFormatError(
             f"trailing bytes: the weight file runs past the {size} bytes that a file "

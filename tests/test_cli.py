@@ -356,15 +356,15 @@ class TestNonFiniteOutput:
         assert list(tmp_path.glob("**/*_sr.png")) == []
 
 
-def _run_capped(argv):
+def _run_capped(argv, stdin=None):
     """Exit code and stderr of the CLI run in a child interpreter whose
-    address space is capped at 1.5 GiB."""
+    address space is capped at 1.5 GiB, with ``stdin`` bytes piped in."""
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))\n"
               "from stereosr.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script, *argv], input=stdin, capture_output=True, timeout=120,
         env={
             "PATH": "/usr/bin:/bin",
             "OPENBLAS_NUM_THREADS": "1",
@@ -372,7 +372,7 @@ def _run_capped(argv):
             "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr.decode()
 
 
 class TestFileSizeBounds:
@@ -400,16 +400,18 @@ class TestFileSizeBounds:
     @pytest.mark.parametrize("endless, code", [
         ("config", cli.EXIT_USAGE), ("weights", cli.EXIT_IO), ("left", cli.EXIT_IO),
         ("weights_hole", cli.EXIT_IO), ("weights_claim", cli.EXIT_IO),
+        ("weights_claim_pipe", cli.EXIT_IO),
     ])
     def test_endless_input_fails_in_a_capped_child(self, png_pair, tmp_path, endless, code):
         # reading all of /dev/zero or of a 3 GiB hole, or allocating the
-        # 2 GB a short file's first tensor claims, would exhaust the cap
+        # 2 GB a short file's first tensor claims (read from a file or from
+        # a pipe), would exhaust the cap
         left, right = png_pair
         weights = tmp_path / "model.msin"
         save_weights(init_model(TINY, seed=0), weights)
         if endless == "weights_hole":
             os.truncate(weights, weights.stat().st_size + 3 * 2**30)
-        if endless == "weights_claim":
+        if endless.startswith("weights_claim"):
             # a config whose files take 2.45 GB: every cap, the widest
             # branches, separate view weights
             header = struct.pack("<4s5I", b"MSIN", 1, MAX_BLOCKS, MAX_WIDTH, 4, MAX_BRANCHES)
@@ -421,14 +423,16 @@ class TestFileSizeBounds:
             argv = ["overfit", "--left", str(left), "--right", str(right),
                     "--config", "/dev/zero", "--steps", "1", "--out", str(tmp_path / "fit.msin")]
         else:
+            source = {"weights": "/dev/zero", "weights_claim_pipe": "/dev/stdin"}
             argv = ["infer", "--left", "/dev/zero" if endless == "left" else str(left),
-                    "--right", str(right),
-                    "--weights", "/dev/zero" if endless == "weights" else str(weights),
+                    "--right", str(right), "--weights", source.get(endless, str(weights)),
                     "--out-dir", str(tmp_path / "o")]
-        got, err = _run_capped(argv)
+        stdin = weights.read_bytes() if endless == "weights_claim_pipe" else None
+        got, err = _run_capped(argv, stdin)
         assert got == code, err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
         assert "Traceback" not in err
+        assert "out of memory" not in err   # failed on its bound, not on the cap
 
 
 class TestOsErrors:
@@ -455,6 +459,28 @@ class TestOsErrors:
         left, _ = png_pair
         code = cli.main(["metrics", "--ref", str(left), "--test", str(left) + "/"])
         self._assert_io_error(code, capsys)
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory"),
+        ("Unable to allocate 2.00 GiB", "error: out of memory: Unable to allocate 2.00 GiB"),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_is_io_error(self, png_pair, tmp_path, monkeypatch, capsys,
+                                      message, line):
+        def forward(*args):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "forward", forward)
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(tmp_path / "o"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err.splitlines() == [line]
 
 
 @pytest.fixture

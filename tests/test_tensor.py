@@ -142,20 +142,32 @@ class TestConv2d:
                                       conv2d_adjoint_oracle(x, w, g)):
             np.testing.assert_allclose(grad, oracle, atol=1e-11, err_msg=name)
 
-    @pytest.mark.parametrize("shape, dilation, n, size, dtype, hwc", [
-        pytest.param(shape, dilation, n, (6, 7), np.float32, False,
+    @pytest.mark.parametrize("shape, dilation, n, size, dtype, hwc, blocks", [
+        pytest.param(shape, dilation, n, (6, 7), np.float32, False, None,
                      id=f"spec{i}" if n == 2 else f"spec{i}-batch1")
         for n in (2, 1) for i, (shape, dilation) in enumerate(ORACLE_SPECS)
     ] + [
-        pytest.param(shape, dilation, 1, *case, id=f"spec{i}-{name}")
+        pytest.param(shape, dilation, 1, *case, None, id=f"spec{i}-{name}")
         for name, case in ORACLE_INPUTS.items()
         for i, (shape, dilation) in enumerate(ORACLE_SPECS)
+    ] + [
+        # depthwise channels stacked in uneven and one-channel blocks
+        pytest.param(shape, dilation, 2, (6, 7), dtype, False, blocks,
+                     id=f"spec{i}-blocks{split}-{np.dtype(dtype).name}")
+        for blocks, split in ((3, "3+1"), (1, "1+1+1+1"))
+        for dtype in (np.float32, np.float64)
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS) if shape[1] == 1
     ])
-    def test_all_paths_match_oracle(self, shape, dilation, n, size, dtype, hwc):
+    def test_all_paths_match_oracle(self, monkeypatch, shape, dilation, n, size, dtype, hwc,
+                                    blocks):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(n, ORACLE_CHANNELS, *size)).astype(dtype)
         if hwc:
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        if blocks:
+            # a budget that holds the stacked taps of `blocks` channels
+            taps, _ = tz._taps(x, *shape[2:], dilation)
+            monkeypatch.setattr(tz, "TAP_STACK_BYTES", blocks * len(taps) * taps[0][:, :1].nbytes)
         w = rng.normal(size=shape).astype(dtype)
         b = rng.normal(size=(1, shape[0], 1, 1)).astype(dtype)
         g = rng.normal(size=(n, shape[0], *size)).astype(dtype)
