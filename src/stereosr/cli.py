@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .images import ImageBuffer, PngError, bicubic_downsample, load_png, save_png
+from .images import ImageBuffer, PngError, bicubic_downsample, load_png, png_size, save_png
 from .metrics import psnr, ssim
 from .model import (
     ModelConfig,
@@ -132,11 +132,30 @@ def parse_config_file(path) -> ModelConfig:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _header_shape(path) -> tuple[int, int, int, int]:
+    # the (1, 3, h, w) tensor shape the PNG file at path decodes to
+    width, height = png_size(path)
+    return 1, 3, height, width
+
+
+def _pair_size(left_path, right_path) -> tuple[int, int]:
+    """The (h, w) both views decode to, from their PNG headers alone.  Views
+    of different sizes fail StereoPair's own check, made on zero-stride
+    stand-ins, before either file is inflated."""
+    left, right = (Tensor(np.broadcast_to(np.float32(0), _header_shape(p)))
+                   for p in (left_path, right_path))
+    StereoPair(left=left, right=right)
+    return left.h, left.w
+
+
 def _load_pair(left_path, right_path) -> StereoPair:
     return StereoPair(left=load_png(left_path).to_tensor(), right=load_png(right_path).to_tensor())
 
 
 def _cmd_infer(args) -> int:
+    # forward's own bound on its one cost volume, checked before anything
+    # larger than the two headers is read
+    check_cost_volume(*_pair_size(args.left, args.right))
     store = load_weights(args.weights)
     cfg = store.config
     if args.scale is not None and args.scale != cfg.scale:
@@ -167,14 +186,16 @@ def _crop_to_multiple(t: Tensor, r: int) -> Tensor:
 
 def _cmd_overfit(args) -> int:
     cfg = parse_config_file(args.config)
+    h, w = _pair_size(args.left, args.right)
+    # a taped step holds every stage's volumes until the backward; checked on
+    # the cropped size before decoding and the downsampling, whose dense
+    # matrices grow with the input
+    check_cost_volume(h // cfg.scale, w // cfg.scale, len(cfg.deam_stages()))
     hr = _load_pair(args.left, args.right)
     hr = StereoPair(
         left=_crop_to_multiple(hr.left, cfg.scale),
         right=_crop_to_multiple(hr.right, cfg.scale),
     )
-    # a taped step holds every stage's volumes until the backward; checked
-    # before the downsampling, whose dense matrices grow with the input
-    check_cost_volume(hr.left.h // cfg.scale, hr.left.w // cfg.scale, len(cfg.deam_stages()))
     lr = StereoPair(
         left=bicubic_downsample(hr.left, cfg.scale),
         right=bicubic_downsample(hr.right, cfg.scale),
@@ -225,6 +246,10 @@ def _cmd_sinkhorn_demo(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    ref_shape, test_shape = _header_shape(args.ref), _header_shape(args.test)
+    if ref_shape != test_shape:
+        # psnr's check, made on the headers before either file is inflated
+        raise ShapeError(f"shape mismatch: {ref_shape} vs {test_shape}")
     ref = load_png(args.ref).to_tensor()
     test = load_png(args.test).to_tensor()
     # both before either is printed: a failed SSIM prints nothing

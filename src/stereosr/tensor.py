@@ -344,6 +344,13 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
 
 
+# Longest dot product in a depthwise weight gradient.  OpenBLAS splits a
+# float64 dot product of more than 10,000 entries across threads, which
+# changes its rounding with the thread count; fixed pieces keep each one on
+# one thread, so the sum is the same at any count.
+DOT_PIECE = 8192
+
+
 def _conv_grad_w(x: np.ndarray, gout: np.ndarray, shape, dilation) -> np.ndarray:
     n, c, h, w = gout.shape
     taps, width = _taps(x, *shape[2:], dilation)
@@ -352,8 +359,14 @@ def _conv_grad_w(x: np.ndarray, gout: np.ndarray, shape, dilation) -> np.ndarray
     g = g.reshape(n, c, h * width)
     if shape[1] != x.shape[1]:
         # depthwise: one dot product per (n, c) and tap, which reads the tap
-        # in place; a stacked batched product, as in the forward, was slower
-        per_tap = [np.matmul(tap[:, :, None, :], g[..., None]).sum(axis=(0, 2, 3)) for tap in taps]
+        # in place; a stacked batched product, as in the forward, was slower.
+        # Each runs in pieces of at most DOT_PIECE entries, summed in order
+        starts = range(0, h * width, DOT_PIECE)
+        per_tap = []
+        for tap in taps:
+            dots = [np.matmul(tap[:, :, None, lo:lo + DOT_PIECE], g[:, :, lo:lo + DOT_PIECE, None])
+                    for lo in starts]
+            per_tap.append(sum(dots[1:], dots[0]).sum(axis=(0, 2, 3)))
         return np.stack(per_tap, axis=1).reshape(shape)
     taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
     return np.tensordot(g, taps, axes=([0, 2], [0, 2])).reshape(shape)

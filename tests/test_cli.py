@@ -601,6 +601,51 @@ class TestCostVolumeBound:
         assert "16x128" in err and f"{n_blocks} cross-view stages" in err
 
 
+class TestSizesCheckedFromHeaders:
+    """A pair whose views differ in size or exceed the cost-volume bound is
+    rejected from the PNG headers: decode_png never runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_decoding(self, monkeypatch):
+        def decode_png(blob):
+            raise AssertionError("decode_png ran before the size checks")
+
+        monkeypatch.setattr(images, "decode_png", decode_png)
+
+    @pytest.mark.parametrize("command, sizes, message", [
+        ("infer", ((12, 8), (16, 8)), "left view is 8x12 but right view is 8x16"),
+        ("infer", ((2048, 2048), (2048, 2048)), "size 2048x2048 needs a cost volume"),
+        ("overfit", ((12, 8), (16, 8)), "left view is 8x12 but right view is 8x16"),
+        ("overfit", ((16385, 3), (16385, 3)), "size 1x8192 needs a cost volume"),
+        ("metrics", ((12, 8), (16, 8)), "shape mismatch: (1, 3, 8, 12) vs (1, 3, 8, 16)"),
+    ], ids=["infer_mismatched", "infer_over_bound", "overfit_mismatched",
+            "overfit_over_bound", "metrics_mismatched"])
+    def test_rejected_before_decoding(self, tmp_path, capsys, command, sizes, message):
+        # a signature and IHDR over IDAT bytes that do not inflate
+        left, right = tmp_path / "left.png", tmp_path / "right.png"
+        for path, (width, height) in zip((left, right), sizes):
+            ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+            path.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+                             + _chunk(b"IDAT", b"x") + _chunk(b"IEND", b""))
+        if command == "infer":
+            weights = tmp_path / "model.msin"
+            save_weights(init_model(TINY, seed=0), weights)
+            argv = ["infer", "--left", str(left), "--right", str(right),
+                    "--weights", str(weights), "--out-dir", str(tmp_path / "o")]
+        elif command == "overfit":
+            config = tmp_path / "model.cfg"
+            config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+            argv = ["overfit", "--left", str(left), "--right", str(right),
+                    "--config", str(config), "--steps", "1", "--out", str(tmp_path / "fit.msin")]
+        else:
+            argv = ["metrics", "--ref", str(left), "--test", str(right)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1
+        assert message in err
+
+
 class TestCountArguments:
     @pytest.mark.parametrize("argv", [
         ["sinkhorn-demo", "--iters", "0"],

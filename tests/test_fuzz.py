@@ -5,11 +5,12 @@ and CRCs, IHDR fields, filter bytes, the zlib stream, header words, name
 lengths, ranks, dims) and by raw byte edits and truncation.  Whatever the
 mutation, ``decode_png`` either decodes or raises ``PngError``, and
 ``load_weights`` either loads or raises ``WeightFormatError``: no other
-exception escapes.  A valid config file is mutated line by line (keys,
-values, separators, comments, branch specs, duplicated and unknown keys,
-over-long digit strings, non-UTF-8 bytes): ``parse_config_file`` either
-parses it or raises ``UsageError``, and ``stereosr overfit`` then exits 1
-with one ``error:`` line.
+exception escapes.  ``png_size`` raises only ``PngError`` too, and reads
+the size of every image ``decode_png`` decodes.  A valid config file is
+mutated line by line (keys, values, separators, comments, branch specs,
+duplicated and unknown keys, over-long digit strings, non-UTF-8 bytes):
+``parse_config_file`` either parses it or raises ``UsageError``, and
+``stereosr overfit`` then exits 1 with one ``error:`` line.
 
 The runs are reproducible: examples come from a fixed seed
 (``derandomize=True``) and no example database is read or written.
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from stereosr import cli
 from stereosr.blocks import LskaBranch
-from stereosr.images import ImageBuffer, PngError, decode_png, save_png
+from stereosr.images import ImageBuffer, PngError, decode_png, png_size, save_png
 from stereosr.model import ModelConfig, WeightFormatError, init_model, load_weights, save_weights
 
 FUZZ = settings(derandomize=True, database=None, max_examples=500, deadline=None,
@@ -123,6 +124,30 @@ def test_mutated_png_raises_only_png_error(base, edits, cut):
         decode_png(blob)
     except PngError:
         pass
+
+
+@pytest.fixture(scope="module")
+def png_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "image.png"
+
+
+@FUZZ
+@given(base=st.integers(0, len(PNG_BASES) - 1), edits=PNG_EDITS,
+       cut=st.one_of(st.none(), st.integers(0, 400)))
+def test_png_size_agrees_with_decode_png(png_path, base, edits, cut):
+    # a header png_size rejects fails decode_png too, and the size it reads
+    # is the size decode_png decodes
+    blob = _mutated_png(base, edits, cut)
+    png_path.write_bytes(blob)
+    try:
+        size = png_size(png_path)
+    except PngError:
+        size = None
+    try:
+        pixels = decode_png(blob).pixels
+    except PngError:
+        return
+    assert size == (pixels.shape[1], pixels.shape[0])
 
 
 def test_unmutated_png_bases_decode():

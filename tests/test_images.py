@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereosr import images as im
 from stereosr.images import ImageBuffer, PngError
@@ -175,6 +177,57 @@ class TestUnfilterOracle:
             unfilter_oracle(raw, width, height, channels),
         )
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("width, height", [
+        (w, h) for h in (1, 2, 7) for w in (1, 2, 7, 40)
+    ] + [(40, 9), (9, 40)])
+    def test_matches_at_the_wavefront_edges(self, width, height, channels):
+        # heights 1, 2 and 7, and images wider than tall and taller than
+        # wide: the diagonals start on the top row and then on the right
+        # column, and have one to min(h, w) pixels
+        rng = np.random.default_rng(7 * width + 3 * height + channels)
+        rows = rng.integers(0, 256, size=(height, 1 + width * channels), dtype=np.uint8)
+        rows[:, 0] = rng.integers(0, 5, size=height)
+        rows[0, 0] = 4  # at least one Paeth row, so the wavefront runs
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, height, channels),
+            unfilter_oracle(raw, width, height, channels),
+        )
+
+    @pytest.mark.parametrize("ftypes, wavefront", [((0, 1, 2, 1, 0, 2), False),
+                                                    ((0, 1, 2, 3, 4, 2), True)],
+                             ids=["none_sub_up_rows", "mixed_rows"])
+    def test_row_loop_and_wavefront_both_match(self, monkeypatch, ftypes, wavefront):
+        # images without Average or Paeth rows keep the row loop; any such
+        # row sends the whole image through the wavefront
+        calls = []
+        run = im._unfilter_wavefront
+        monkeypatch.setattr(im, "_unfilter_wavefront", lambda *a: calls.append(1) or run(*a))
+        width, channels = 9, 3
+        rows = np.random.default_rng(11).integers(
+            0, 256, size=(len(ftypes), 1 + width * channels), dtype=np.uint8)
+        rows[:, 0] = ftypes
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, len(ftypes), channels),
+            unfilter_oracle(raw, width, len(ftypes), channels),
+        )
+        assert bool(calls) == wavefront
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(width=st.integers(1, 24), height=st.integers(1, 24), channels=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1), types=st.sampled_from([(3, 4), (0, 1, 2), range(5)]))
+    def test_random_sizes_and_filter_mixes_match(self, width, height, channels, seed, types):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 256, size=(height, 1 + width * channels), dtype=np.uint8)
+        rows[:, 0] = rng.choice(list(types), size=height)
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, height, channels),
+            unfilter_oracle(raw, width, height, channels),
+        )
+
     def test_paeth_tie_between_up_and_up_left_picks_up(self):
         # left 110, up 80, up-left 100: |left - upleft| = |left + up - 2 upleft| = 10
         rows = bytes([0, 100, 80, 4, 10, 0])
@@ -267,6 +320,39 @@ class TestPngValidation:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             im.load_png(tmp_path / "absent.png")
+
+
+class TestPngSize:
+    def test_size_of_a_saved_image(self, tmp_path):
+        path = tmp_path / "x.png"
+        im.save_png(ImageBuffer(pixels=np.zeros((7, 11, 3), np.uint8)), path)
+        assert im.png_size(path) == (11, 7)
+
+    def test_signature_and_header_suffice(self, tmp_path):
+        # the first 33 bytes, then junk where the image data would be
+        blob = build_png(4097, 4095, 8, 0, b"")[:33]
+        path = tmp_path / "x.png"
+        path.write_bytes(blob)
+        assert im.png_size(path) == (4097, 4095)
+        path.write_bytes(blob + b"junk" * 100)
+        assert im.png_size(path) == (4097, 4095)
+
+    @pytest.mark.parametrize("blob, match", [
+        (b"GIF89a" + bytes(27), "signature"),
+        (SIG + chunk(b"IEND", b""), "no IHDR"),
+        (SIG + chunk(b"IHDR", bytes(12)), "IHDR length 12"),
+        (build_png(2, 2, 8, 2, b"")[:30], "truncated"),
+        (build_png(2, 2, 8, 2, b"")[:29] + b"\0\0\0\0", "CRC"),
+        (build_png(2, 2, 16, 2, b""), "bit depth"),
+        (build_png(4097, 4096, 8, 2, b""), "image size"),
+    ], ids=["signature", "first_chunk", "length", "truncated", "crc", "bit_depth", "size"])
+    def test_bad_header_raises_as_decode_png_does(self, tmp_path, blob, match):
+        path = tmp_path / "x.png"
+        path.write_bytes(blob)
+        with pytest.raises(PngError, match=match):
+            im.png_size(path)
+        with pytest.raises(PngError, match=match):
+            im.decode_png(blob)
 
 
 class TestBicubicDownsample:

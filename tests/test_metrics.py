@@ -111,6 +111,21 @@ class TestSsim:
         with pytest.raises(ShapeError):
             mt.ssim(small, small)
 
+    @pytest.mark.parametrize("band_rows, bands", [(1, 30), (7, 5), (29, 2)])
+    def test_row_bands_give_the_unbanded_value(self, monkeypatch, band_rows, bands):
+        # 40 rows give 30 output rows; bands of 7 leave a partial last band
+        # of 2 rows, bands of 29 a last band of one row
+        a, b = image(9, (1, 3, 40, 33)), image(10, (1, 3, 40, 33))
+        monkeypatch.setattr(mt, "SSIM_BAND_BYTES", 1 << 40)
+        whole = mt.ssim(a, b)
+        calls = []
+        windowed_mean = mt._windowed_mean
+        monkeypatch.setattr(mt, "_windowed_mean", lambda *args: calls.append(1) or windowed_mean(*args))
+        # one float64 row of the three channels is 3 * 33 * 8 bytes
+        monkeypatch.setattr(mt, "SSIM_BAND_BYTES", band_rows * 3 * 33 * 8 + 7)
+        assert mt.ssim(a, b) == whole
+        assert len(calls) == 5 * bands
+
     def test_window_normalized(self):
         win = mt.gaussian_window()
         assert win.shape == (11, 11)

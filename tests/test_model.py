@@ -277,6 +277,17 @@ class TestForward:
             "        loss = tz.sum_all(tz.mul(tz.conv2d(x, w, tz.zeros((1,8,1,1)), dilation), g))\n"
             "    for d in tape.gradients(loss, [x, w]):\n"
             "        digest.update(d.tobytes())\n"
+            # float64 depthwise weight gradients at 128x128 take dot products
+            # of 16.5k-18.3k entries per channel, which BLAS would split
+            "x = Tensor(rng.normal(size=(1,8,128,128)))\n"
+            "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3))):\n"
+            "    w = Tensor(rng.normal(size=shape))\n"
+            "    g = Tensor(rng.normal(size=x.shape))\n"
+            "    with tz.GradTape() as tape:\n"
+            "        loss = tz.sum_all(tz.mul(tz.conv2d(x, w, tz.zeros((1,8,1,1), np.float64),"
+            " dilation), g))\n"
+            "    for d in tape.gradients(loss, [x, w]):\n"
+            "        digest.update(d.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         # the child sees only PATH, the thread count and the directory that
