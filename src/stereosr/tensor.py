@@ -4,14 +4,18 @@ Values are immutable (batch, channels, height, width) arrays, float32 by
 default.  Every operation here but the bilinear resampler is a primitive
 with a paired backward rule; while a :class:`GradTape` is active the
 primitives record themselves, and replaying the tape in reverse yields
-exact loss gradients for arbitrary compositions.  Each record holds one
-output tensor, and its backward rule maps that output's cotangent to one
-cotangent per input.  float64 is supported throughout so numerical checks
-can run at higher precision than the training path.
+exact loss gradients for arbitrary compositions.  Each record names one
+output and its inputs by their tensors' keys, and its backward rule maps
+that output's cotangent to one cotangent per input.  A record holds no
+tensor itself: the backward rule keeps only the operands it reads, so a
+map that no backward reads is freed as soon as the forward drops it.
+float64 is supported throughout so numerical checks can run at higher
+precision than the training path.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,14 +29,21 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
+# Source of Tensor.key: every tensor built in the process gets a new one.
+_KEYS = count()
+
+
 class Tensor:
     """Immutable rank-4 value: (batch, channels, height, width).
 
     The wrapped array is treated as read-only after construction; all
-    operations return fresh tensors.
+    operations return fresh tensors.  ``key`` names the tensor on a tape.
+    Unlike ``id()``, it is never reused after the tensor is freed, so a
+    tape that outlives the tensors it recorded still routes each cotangent
+    to the one tensor it belongs to.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -41,6 +52,7 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -102,9 +114,12 @@ _BackwardFn = Callable[[np.ndarray], tuple]
 
 
 class _Recorded:
+    """One primitive application: the keys of its inputs and its output, and
+    its backward rule, which holds the only arrays the record keeps."""
+
     __slots__ = ("name", "inputs", "output", "backward")
 
-    def __init__(self, name: str, inputs: tuple, output: Tensor, backward: _BackwardFn):
+    def __init__(self, name: str, inputs: tuple[int, ...], output: int, backward: _BackwardFn):
         self.name = name
         self.inputs = inputs
         self.output = output
@@ -149,29 +164,34 @@ class GradTape:
         if loss.numel != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
-        requested = {id(p) for p in params}
+        requested = {p.key for p in params}
         # a record whose output the loss does not read gets no cotangent and
         # is skipped whole
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for rec in reversed(self._records):
-            out = id(rec.output)
+            out = rec.output
             # every reader of the output comes later on the tape, so its
             # cotangent is spent once this record's backward has run
             g = grads.get(out) if out in requested else grads.pop(out, None)
             if g is None:
                 continue
-            for t, dt in zip(rec.inputs, rec.backward(g)):
-                tid = id(t)
+            for key, dt in zip(rec.inputs, rec.backward(g)):
                 # never in place: the summand may be shared with another input
-                acc = grads.get(tid)
-                grads[tid] = dt if acc is None else acc + dt
-        return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+                acc = grads.get(key)
+                grads[key] = dt if acc is None else acc + dt
+        return [grads.get(p.key, np.zeros_like(p.data)) for p in params]
 
 
 def _record(name: str, inputs: tuple, output: Tensor, backward_fn: _BackwardFn) -> None:
+    """Append a record of ``inputs`` -> ``output`` to the active tape, if any.
+
+    The record keeps the tensors' keys, not the tensors, so ``backward_fn``
+    must capture whatever arrays it reads and nothing more: a shape or a
+    dtype, not the tensor it came from.
+    """
     tape = GradTape._active
     if tape is not None:
-        tape._records.append(_Recorded(name, inputs, output, backward_fn))
+        tape._records.append(_Recorded(name, tuple(t.key for t in inputs), output.key, backward_fn))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -190,9 +210,10 @@ def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b with numpy broadcasting; b may be a Python scalar."""
     if isinstance(b, Tensor):
         out = Tensor(a.data + b.data)
+        a_shape, b_shape = a.shape, b.shape
 
         def bwd(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
         _record("add", (a, b), out, bwd)
         return out
@@ -204,9 +225,10 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
     _record("sub", (a, b), out, bwd)
     return out
@@ -238,9 +260,10 @@ def exp(a: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     """Total of all elements as a (1, 1, 1, 1) tensor."""
     out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1))
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        return (np.full_like(a.data, g.reshape(())),)
+        return (np.full(shape, g.reshape(()), dtype=dtype),)
 
     _record("sum_all", (a,), out, bwd)
     return out
@@ -250,9 +273,10 @@ def mean_all(a: Tensor) -> Tensor:
     """Mean of all elements as a (1, 1, 1, 1) tensor."""
     inv = a.data.dtype.type(1.0 / a.numel)
     out = Tensor((a.data.sum(dtype=a.data.dtype) * inv).reshape(1, 1, 1, 1))
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        return (np.full_like(a.data, g.reshape(()) * inv),)
+        return (np.full(shape, g.reshape(()) * inv, dtype=dtype),)
 
     _record("mean_all", (a,), out, bwd)
     return out
@@ -311,7 +335,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     n * T * h * W * itemsize bytes for T taps and frame width W, fit in
     TAP_STACK_BYTES.  Untaped default-config forwards by budget and input
     size, each the fastest of 3 calls in a fresh process, medians of 4
-    interleaved rounds on one BLAS thread of a 2-core machine with 4 MiB of
+    interleaved rounds on one BLAS thread of a 2-core machine with 2 MiB of
     L2 per core:
 
         budget      32x96    16x96
@@ -472,9 +496,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean per channel; output shape (n, c, 1, 1)."""
     out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
     inv = x.data.dtype.type(1.0 / (x.h * x.w))
+    shape = x.shape
 
     def bwd(g):
-        return (np.broadcast_to(g * inv, x.shape).copy(),)
+        return (np.broadcast_to(g * inv, shape).copy(),)
 
     _record("global_avg_pool", (x,), out, bwd)
     return out
@@ -533,12 +558,13 @@ def spectral_l1(d: Tensor) -> Tensor:
     mags *= weight
     inv = d.dtype.type(1.0 / (2 * d.numel))
     out = Tensor((mags.sum(dtype=d.dtype) * inv).reshape(1, 1, 1, 1))
+    # irfft2 divides by h * w, which the unnormalized transform's adjoint lacks
+    dtype, scale = d.dtype, h * w / (2 * d.numel)
 
     def bwd(g):
-        # irfft2 divides by h * w, which the unnormalized transform's adjoint lacks
         grad = np.fft.irfft2(np.sign(half.real) + 1j * np.sign(half.imag), s=(h, w))
-        grad *= g.reshape(()) * (h * w / (2 * d.numel))
-        return (grad.astype(d.dtype, copy=False),)
+        grad *= g.reshape(()) * scale
+        return (grad.astype(dtype, copy=False),)
 
     _record("spectral_l1", (d,), out, bwd)
     return out

@@ -2,6 +2,7 @@
 rules against finite differences, plus structural invariants."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -476,6 +477,71 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"gradients peaked at {peak / 2**20:.1f} MiB"
         np.testing.assert_allclose(g, 1.5 ** 40, rtol=1e-5)
+
+
+    @staticmethod
+    def _upsampled_residual(keep_leaves):
+        """The network's head in miniature: a sub-pixel shuffle of a doubled
+        parameter plus the bilinear upsample of four low-resolution images,
+        under a squared loss.  The parameter's gradient, the loss's input
+        and the ids of the upsampled leaves, which the tape does not record."""
+        rng = np.random.default_rng(40)
+        p = tz.tensor(rng.normal(size=(1, 8, 2, 3)), np.float64)
+        lows = [tz.tensor(rng.normal(size=(1, 2, 2, 3)), np.float64) for _ in range(4)]
+        kept, leaf_ids = [], []
+        with GradTape() as tape:
+            y = tz.pixel_shuffle(tz.mul(p, 2.0), 2)
+            for low in lows:
+                leaf = tz.bilinear_upsample(low, 2)
+                leaf_ids.append(id(leaf))
+                y = tz.add(y, leaf)
+                if keep_leaves:
+                    kept.append(leaf)
+                del leaf
+            loss = tz.sum_all(tz.mul(y, y))
+        (g,) = tape.gradients(loss, [p])
+        return g, y.data, leaf_ids
+
+    def test_dropped_leaf_does_not_merge_cotangents(self):
+        # no record pops an unrecorded leaf's cotangent, and neither the tape
+        # nor add keeps the leaf, so its memory goes to the next tensor.  An
+        # id()-routed tape would then merge the two tensors' cotangents, or
+        # fail on their shapes; keys are never reused
+        g_kept, y, kept_ids = self._upsampled_residual(keep_leaves=True)
+        g_dropped, _, dropped_ids = self._upsampled_residual(keep_leaves=False)
+        assert len(set(kept_ids)) == 4
+        assert len(set(dropped_ids)) < 4, "no dropped leaf's memory was reused"
+        np.testing.assert_array_equal(g_dropped, g_kept)
+        # the gradient of sum(y^2) through y = shuffle(2 p) + leaves is
+        # 4 * unshuffle(y), exact in float64
+        unshuffled = y.reshape(1, 2, 2, 2, 3, 2).transpose(0, 1, 3, 5, 2, 4).reshape(1, 8, 2, 3)
+        np.testing.assert_array_equal(g_dropped, 4 * unshuffled)
+
+
+class TestTapeKeepsOperandsOnly:
+    @pytest.mark.parametrize("op, shapes", [
+        (tz.add, [(2, 3, 4, 6), (1, 3, 1, 1)]),
+        (tz.sub, [(2, 3, 4, 6), (2, 1, 4, 6)]),
+        (tz.mean_all, [(2, 3, 4, 6)]),
+        (tz.sum_all, [(2, 3, 4, 6)]),
+        (tz.global_avg_pool, [(2, 3, 4, 6)]),
+        (tz.spectral_l1, [(2, 3, 4, 6)]),
+    ], ids=["add", "sub", "mean_all", "sum_all", "global_avg_pool", "spectral_l1"])
+    def test_backward_keeps_no_input(self, op, shapes):
+        # these backward rules read only their inputs' shapes and dtypes, so
+        # the tape must not keep the inputs' arrays alive
+        rng = np.random.default_rng(41)
+        inputs = [tz.tensor(rng.normal(size=shape)) for shape in shapes]
+        with GradTape() as tape:
+            out = op(*inputs)
+        (rec,) = tape._records
+        cells = [cell.cell_contents for cell in rec.backward.__closure__ or ()]
+        assert not any(isinstance(obj, Tensor) for obj in cells)
+        arrays = [weakref.ref(t.data) for t in inputs]
+        del inputs
+        assert [ref() for ref in arrays] == [None] * len(shapes)
+        grads = rec.backward(np.ones(out.shape, out.dtype))
+        assert [g.shape for g in grads] == shapes
 
 
 class TestGradCheck:

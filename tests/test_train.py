@@ -60,16 +60,21 @@ class TestLossTotal:
         assert tr.loss_total(pair_from(a), pair_from(b)).item() > 0.0
 
     def test_every_record_has_one_tensor_output(self):
-        # the backward pass looks up one cotangent per record's output, so a
-        # record holding a tuple would silently never receive one
+        # the backward pass looks up one cotangent per record's output key,
+        # so a record naming a tuple would silently never receive one.  Each
+        # output is a fresh tensor, made after the inputs it reads
         cfg = ModelConfig(n_blocks=2, width=16)
         rng = np.random.default_rng(3)
         lr = pair_from(rng.uniform(size=(1, 3, 4, 6)).astype(np.float32))
         hr = pair_from(rng.uniform(size=(1, 3, 16, 24)).astype(np.float32))
         with tz.GradTape() as tape:
-            tr.loss_total(forward(lr, init_model(cfg, 0), cfg), hr)
+            loss = tr.loss_total(forward(lr, init_model(cfg, 0), cfg), hr)
+        outputs = [rec.output for rec in tape._records]
         assert len(tape) > 0
-        assert all(isinstance(rec.output, Tensor) for rec in tape._records)
+        assert all(type(key) is int for key in outputs)
+        assert len(set(outputs)) == len(outputs)
+        assert all(max(rec.inputs) < rec.output for rec in tape._records)
+        assert outputs[-1] == loss.key
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(tz.ShapeError):
@@ -271,18 +276,78 @@ class TestOverfitBound:
                 tr.overfit(lr, hr, cfg, steps=1)
 
 
+def _owner(arr):
+    """The array that owns the memory ``arr`` views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _held_arrays(tape):
+    """The distinct arrays that a tape's backward rules hold: everything
+    reachable through their closures, through tensors, nested functions,
+    tuples and lists, as the arrays that own the memory."""
+    seen, owners = set(), {}
+    stack = [rec.backward for rec in tape._records]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arr = _owner(obj)
+            owners[id(arr)] = arr
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(owners.values())
+
+
 class TestTapeHygiene:
     def test_every_record_reads_a_parameter(self):
         # a record whose inputs are all constants is never differentiated
         tape, params, _ = _acceptance_step()
-        live = {id(p) for p in params}
+        live = {p.key for p in params}
         constant = []
         for rec in tape._records:
-            if any(id(t) in live for t in rec.inputs):
-                live.add(id(rec.output))
+            if any(key in live for key in rec.inputs):
+                live.add(rec.output)
             else:
                 constant.append(rec.name)
         assert constant == []
+
+    def test_tape_holds_only_the_maps_its_backward_reads(self):
+        # records name tensors by key, so the arrays a tape keeps alive are
+        # those its backward rules capture.  Count the maps each one reads;
+        # a closure that also keeps a whole tensor it does not read (a block
+        # input, a branch output) adds at least 4 C-channel maps here
+        tape, params, _ = _acceptance_step()
+        n, c, h, w, iters = 1, 16, 24, 72, 10
+        big_h, big_w = 4 * h, 4 * w
+        site = n * h * w  # one channel of one view's features
+        per_view_block = (
+            21 * c * site  # MSCAM: norm 1, expand 1, dwconv 2, gate 2, LSKA input 1,
+                           # branch inner maps 3 x 3, fuse 1, attention 1, SCA 1,
+                           # project 1, residual scale 1
+            + 6 * c * site  # SFFN: norm 1, expand 1, gate 2, project 1, residual scale 1
+            + 6 * c * site  # cross-view stage: norm 1, match conv 1, value conv 1,
+                            # cost matrix 1, carry 1, fusion scale 1
+            + 3 * site      # the three layer norms' inverse deviations
+        )
+        per_block = (2 * per_view_block
+                     + 2 * n * h * w * w          # the scores and the plan
+                     + (2 * iters + 1) * site)    # Sinkhorn's scaling vectors
+        per_view = (3 * site + c * site          # intro and head convolution inputs
+                    + 3 * n * big_h * big_w      # the residual, read by its square
+                    + 2 * 3 * n * big_h * (big_w // 2 + 1))  # its complex half spectrum
+        # per-channel and per-row vectors (SCA, Sinkhorn's row maxima) fit in one site
+        bound = 4 * (2 * per_block + 2 * per_view + site)
+        owned = {id(_owner(p.data)) for p in params}
+        held = sum(a.nbytes for a in _held_arrays(tape) if id(a) not in owned)
+        assert held <= bound
 
     def test_loss_records(self):
         # per view: sub, mul, mean_all, spectral_l1, mul, add; then add, mul
