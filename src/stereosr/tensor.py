@@ -328,44 +328,81 @@ def _taps(x: np.ndarray, kh: int, kw: int, dilation) -> tuple[list[np.ndarray], 
 TAP_STACK_BYTES = 1 << 20
 
 
+def _in_range(size: int, offset: int) -> tuple[int, int]:
+    """The output positions lo:hi whose input position, shifted by
+    ``offset``, lies inside 0:size; the rest read the zero padding."""
+    lo = min(size, max(0, -offset))
+    return lo, max(lo, min(size, size - offset))
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
-    """Cross-correlate ``x`` with ``w`` over the taps of one padded frame.
+    """Cross-correlate ``x`` with ``w``.
+
+    Which reads copy from ``x`` and which read ``_taps``' padded frame:
+    a depthwise kernel, in the forward and in the input gradient, copies
+    its taps straight from ``x``, which may be strided, and returns a
+    C-contiguous array.  A full kernel stacks the taps of the frame and
+    crops the spill columns off its one product, so with padding its
+    output is a strided view; the weight gradients read the frame too.
 
     A depthwise kernel takes its channels in blocks whose stacked taps,
-    n * T * h * W * itemsize bytes for T taps and frame width W, fit in
-    TAP_STACK_BYTES.  Untaped default-config forwards by budget and input
-    size, each the fastest of 3 calls in a fresh process, medians of 4
-    interleaved rounds on one BLAS thread of a 2-core machine with 2 MiB of
-    L2 per core:
+    n * T * h * w * itemsize bytes for T taps, fit in TAP_STACK_BYTES, and
+    one tap block serves every channel block.  Untaped default-config
+    forwards by budget and input size, each the fastest of 3 calls in a
+    fresh process, medians of 8 interleaved rounds on one BLAS thread of a
+    2-core machine with 2 MiB of L2 per core.  Single rounds spread widely
+    (1 MiB: 0.63-0.86 s at 32x96, 0.33-0.52 s at 16x96):
 
         budget      32x96    16x96
-        256 KiB     1.27 s   0.69 s
-        1 MiB       0.97 s   0.58 s
-        2 MiB       1.10 s   0.63 s
-        4 MiB       1.29 s   0.59 s
-        unblocked   1.09 s   0.58 s
-        per-tap     1.09 s   0.74 s
-
-    The per-tap row adds each tap times its kernel column: two ufunc passes
-    per tap, one of them a broadcast multiply that costs about four times a
-    contiguous add per element on taps shorter than about 2,500 entries.
+        256 KiB     0.76 s   0.38 s
+        512 KiB     0.77 s   0.40 s
+        1 MiB       0.73 s   0.37 s
+        2 MiB       0.87 s   0.39 s
+        4 MiB       0.93 s   0.41 s
+        unblocked   0.97 s   0.46 s
     """
     n, cin, h, wd = x.shape
-    taps, width = _taps(x, *w.shape[2:], dilation)
-    if w.shape[1] != cin:
-        # depthwise: per block of channels, stack the taps on a new axis and
-        # weigh them with one batched (1, T) x (T, h * W) product per (n, c)
-        out = np.empty((n, cin, 1, h * width), dtype=np.result_type(x, w))
-        kernels = w.reshape(cin, 1, -1)
-        step = max(1, TAP_STACK_BYTES // (n * len(taps) * h * width * x.itemsize))
-        for lo in range(0, cin, step):
-            block = np.stack([tap[:, lo:lo + step] for tap in taps], axis=2)
-            np.matmul(kernels[lo:lo + step], block, out=out[:, lo:lo + step])
-    else:
+    kh, kw = w.shape[2:]
+    if w.shape[1] == cin:
+        taps, width = _taps(x, kh, kw, dilation)
         # stacked rows are ordered like a flattened kernel; rebinding frees the frame
         taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
         out = np.matmul(w.reshape(w.shape[0], -1), taps)
-    return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
+        return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
+    # depthwise: per block of channels, weigh the T taps with one batched
+    # (1, T) x (T, h * w) product per (n, c)
+    dh, dw = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
+    step = max(1, TAP_STACK_BYTES // (n * kh * kw * h * wd * x.itemsize))
+    # the output before the tap block: in the other order the freed block
+    # leaves a heap hole under each output the tape keeps, and a training
+    # step peaked higher
+    out = np.empty((n, cin, 1, h * wd), dtype=np.result_type(x, w))
+    block = np.empty((n, min(step, cin), kh * kw, h, wd), dtype=x.dtype)
+    copies = []
+    for t in range(kh * kw):
+        sy, sx = t // kw * dh - ph, t % kw * dw - pw
+        (r0, r1), (c0, c1) = _in_range(h, sy), _in_range(wd, sx)
+        # the padding a tap reads is the same in every block: zero it once
+        if r0:
+            block[:, :, t, :r0] = 0
+        if r1 < h:
+            block[:, :, t, r1:] = 0
+        if c0:
+            block[:, :, t, r0:r1, :c0] = 0
+        if c1 < wd:
+            block[:, :, t, r0:r1, c1:] = 0
+        if r0 < r1 and c0 < c1:
+            copies.append((block[:, :, t, r0:r1, c0:c1],
+                           slice(r0 + sy, r1 + sy), slice(c0 + sx, c1 + sx)))
+    kernels = w.reshape(cin, 1, -1)
+    stack = block.reshape(n, block.shape[1], kh * kw, h * wd)
+    for lo in range(0, cin, step):
+        hi = min(lo + step, cin)
+        for dst, rows, cols in copies:
+            dst[:, :hi - lo] = x[:, lo:hi, rows, cols]
+        np.matmul(kernels[lo:hi], stack[:, :hi - lo], out=out[:, lo:hi])
+    return out.reshape(n, cin, h, wd)
 
 
 # Longest dot product in a depthwise weight gradient.  OpenBLAS splits a
@@ -401,7 +438,10 @@ def _conv_grad_x(gout: np.ndarray, w: np.ndarray, dilation, depthwise: bool) -> 
     # in/out channel roles swapped (a depthwise kernel keeps its layout).
     wt = w if depthwise else w.swapaxes(0, 1)
     wt = np.ascontiguousarray(wt[..., ::-1, ::-1])
-    return np.ascontiguousarray(_conv_forward(gout, wt, dilation))
+    dx = _conv_forward(gout, wt, dilation)
+    # a depthwise product is C-contiguous already; a full one with padding
+    # is its product with the spill columns cropped off, a strided view
+    return dx if depthwise else np.ascontiguousarray(dx)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
@@ -434,7 +474,11 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     if bias.shape != (1, out_ch, 1, 1):
         raise ShapeError(f"bias shaped {bias.shape}, expected (1, {out_ch}, 1, 1)")
 
-    out = Tensor(_conv_forward(x.data, weights.data, dilation) + bias.data)
+    o = _conv_forward(x.data, weights.data, dilation)
+    # the bias goes into the product's own output when that is contiguous
+    # and already of the sum's dtype, so a float64 bias still promotes
+    own = o.flags.c_contiguous and o.dtype == np.result_type(o, bias.data)
+    out = Tensor(np.add(o, bias.data, out=o if own else None))
 
     def bwd(g):
         dx = _conv_grad_x(g, weights.data, dilation, depthwise)

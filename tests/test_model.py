@@ -288,6 +288,17 @@ class TestForward:
             " dilation), g))\n"
             "    for d in tape.gradients(loss, [x, w]):\n"
             "        digest.update(d.tobytes())\n"
+            # 48 channels at 64x64 take 10 blocks of copied taps, and the
+            # 11x1 kernel at dilation 3 reads padding on 15 rows each side
+            "x = Tensor(rng.normal(size=(1,48,64,64)).astype(np.float32))\n"
+            "w = Tensor(rng.normal(size=(48,1,11,1)).astype(np.float32))\n"
+            "g = Tensor(rng.normal(size=x.shape).astype(np.float32))\n"
+            "with tz.GradTape() as tape:\n"
+            "    out = tz.conv2d(x, w, tz.zeros((1,48,1,1)), (3,1))\n"
+            "    loss = tz.sum_all(tz.mul(out, g))\n"
+            "digest.update(out.data.tobytes())\n"
+            "for d in tape.gradients(loss, [x, w]):\n"
+            "    digest.update(d.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         # the child sees only PATH, the thread count and the directory that

@@ -88,6 +88,30 @@ ORACLE_INPUTS = {"1x1": ((1, 1), np.float32, False),
                  "hwc": ((6, 7), np.float32, True)}
 
 
+def frame_depthwise_oracle(x, w, dilation):
+    """The depthwise forward as it was before taps were copied straight
+    from the input: the input zero-padded into one flat frame per channel of
+    h + 2 ph rows of w + pw entries, each led by pw zeros that also pad the
+    row before; tap (i, j) the run of h * (w + pw) entries from
+    i * dh * (w + pw) + j * dw; channels in blocks of 1 MiB of stacked taps,
+    each one batched product; the spill columns cropped off."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    dh, dw = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
+    width, height = wd + pw, h + 2 * ph
+    frame = np.zeros((n, c, height * width + 2 * pw), dtype=x.dtype)
+    frame[..., :height * width].reshape(n, c, height, width)[..., ph:ph + h, pw:] = x
+    taps = [frame[..., s:s + h * width]
+            for s in (i * dh * width + j * dw for i in range(kh) for j in range(kw))]
+    out = np.empty((n, c, 1, h * width), dtype=np.result_type(x, w))
+    step = max(1, (1 << 20) // (n * len(taps) * h * width * x.itemsize))
+    for lo in range(0, c, step):
+        block = np.stack([tap[:, lo:lo + step] for tap in taps], axis=2)
+        np.matmul(w.reshape(c, 1, -1)[lo:lo + step], block, out=out[:, lo:lo + step])
+    return out.reshape(n, c, h, width)[..., :wd]
+
+
 class TestTensorType:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -166,17 +190,23 @@ class TestConv2d:
         if hwc:
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         if blocks:
-            # a budget that holds the stacked taps of `blocks` channels
-            taps, _ = tz._taps(x, *shape[2:], dilation)
-            monkeypatch.setattr(tz, "TAP_STACK_BYTES", blocks * len(taps) * taps[0][:, :1].nbytes)
+            # a budget that holds the n * T * h * w stacked taps of `blocks` channels
+            budget = blocks * np.prod(shape[2:]) * x[:, :1].nbytes
+            monkeypatch.setattr(tz, "TAP_STACK_BYTES", budget)
         w = rng.normal(size=shape).astype(dtype)
         b = rng.normal(size=(1, shape[0], 1, 1)).astype(dtype)
         g = rng.normal(size=(n, shape[0], *size)).astype(dtype)
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
+        products = []
+        matmul = np.matmul
         with GradTape() as tape:
-            out = tz.conv2d(*inputs, dilation)
+            with monkeypatch.context() as m:
+                m.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
+                out = tz.conv2d(*inputs, dilation)
             loss = tz.sum_all(tz.mul(out, Tensor(g)))
         got = tape.gradients(loss, inputs)
+        # one product per block of channels: 3+1 is two, 1+1+1+1 four
+        assert len(products) == (-(-ORACLE_CHANNELS // blocks) if blocks else 1)
         assert out.data.flags.c_contiguous and got[0].flags.c_contiguous
         x64, w64 = x.astype(np.float64), w.astype(np.float64)
         want = conv2d_oracle(x64, w64, b.astype(np.float64), dilation)
@@ -187,6 +217,63 @@ class TestConv2d:
                                                             dilation)):
             assert grad.dtype == dtype, name
             np.testing.assert_allclose(grad, oracle, atol=10 * tol, err_msg=name)
+
+    @pytest.mark.parametrize("shape, dilation, channels, size, dtype, hwc", [
+        pytest.param(shape, dilation, ORACLE_CHANNELS, *case, id=f"spec{i}-{name}")
+        for name, case in ORACLE_INPUTS.items()
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS) if shape[1] == 1
+    ] + [
+        # 48 channels at the benchmark's sizes take several 1 MiB blocks
+        pytest.param((48, 1, *shape[2:]), dilation, 48, size, dtype, False,
+                     id=f"spec{i}-48x{size[0]}x{size[1]}-{np.dtype(dtype).name}")
+        for size in ((16, 96), (32, 96))
+        for dtype in (np.float32, np.float64)
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS) if shape[1] == 1
+    ])
+    def test_depthwise_matches_frame_oracle(self, shape, dilation, channels, size, dtype, hwc):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(1, channels, *size)).astype(dtype)
+        if hwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=shape).astype(dtype)
+        b = rng.normal(size=(1, channels, 1, 1)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        inputs = [Tensor(x), Tensor(w), Tensor(b)]
+        with GradTape() as tape:
+            out = tz.conv2d(*inputs, dilation)
+            loss = tz.sum_all(tz.mul(out, Tensor(g)))
+        dx = tape.gradients(loss, inputs)[0]
+        flipped = np.ascontiguousarray(w[..., ::-1, ::-1])
+        # OpenBLAS's float64 matrix-vector product rounds the last (length
+        # mod 4) entries of each product in its remainder code.  A map has
+        # h * w entries and a frame row h * (w + pw), so unless both are
+        # multiples of 4, the last 3 entries of a map may round differently
+        h, wd = size
+        pw = (shape[3] - 1) * dilation[1] // 2
+        exact = dtype == np.float32 or (h * wd) % 4 == (h * (wd + pw)) % 4 == 0
+        for name, got, want in (("out", out.data, frame_depthwise_oracle(x, w, dilation) + b),
+                                ("dx", dx, frame_depthwise_oracle(g, flipped, dilation))):
+            got, want = got.reshape(channels, -1), want.reshape(channels, -1)
+            if exact:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+                continue
+            np.testing.assert_array_equal(got[:, :-3], want[:, :-3], err_msg=name)
+            np.testing.assert_allclose(got[:, -3:], want[:, -3:], rtol=0, atol=1e-13,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 3, 3), (6, 4, 3, 3), (6, 4, 1, 1)],
+                             ids=["depthwise", "full", "pointwise"])
+    def test_float64_bias_promotes_the_sum(self, shape):
+        # the bias goes into the product's own output only where that keeps
+        # the sum's dtype: a float64 bias on a float32 product promotes it
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(1, 4, 5, 6)).astype(np.float32))
+        w = Tensor(rng.normal(size=shape).astype(np.float32))
+        b = rng.normal(size=(1, shape[0], 1, 1))
+        out = tz.conv2d(x, w, Tensor(b)).data
+        product = tz.conv2d(x, w, tz.zeros((1, shape[0], 1, 1))).data
+        assert out.dtype == np.float64 and product.dtype == np.float32
+        np.testing.assert_array_equal(out, product + b)
 
     def test_channel_mismatch_names_dimension(self):
         x = tz.zeros((1, 3, 4, 4))
