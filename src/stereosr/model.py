@@ -251,10 +251,13 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
     stack only has to produce the high-frequency residue.  Output spatial
     size is exactly (scale*h, scale*w).  An input whose cost volumes, one per
     pair of the batch, are together over MAX_COST_VOLUME raises ShapeError
-    before any convolution runs.
+    before any convolution runs.  ``cfg``, when given, must be the store's
+    own config; any other raises ValueError.
     """
     if cfg is None:
         cfg = store.config
+    elif cfg != store.config:
+        raise ValueError(f"config {cfg} is not the weight store's {store.config}")
     if pair.left.c != 3:
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
     check_cost_volume(pair.left.h, pair.left.w, batch=pair.left.n)

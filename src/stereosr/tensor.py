@@ -206,20 +206,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # Elementwise primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise a + b with numpy broadcasting; b may be a Python scalar."""
-    if isinstance(b, Tensor):
-        out = Tensor(a.data + b.data)
-        a_shape, b_shape = a.shape, b.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a + b with numpy broadcasting."""
+    out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.shape, b.shape
 
-        def bwd(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+    def bwd(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-        _record("add", (a, b), out, bwd)
-        return out
-
-    out = Tensor(a.data + a.data.dtype.type(b))
-    _record("add", (a,), out, lambda g: (g,))
+    _record("add", (a, b), out, bwd)
     return out
 
 
@@ -304,26 +299,6 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _taps(x: np.ndarray, kh: int, kw: int, dilation) -> tuple[list[np.ndarray], int]:
-    """One contiguous (n, c, h * W) slice per tap of a kh x kw kernel, in
-    row-major tap order, and the frame width W = w + pw.  The input is
-    zero-padded once into a flat (n, c, H * W + 2 * pw) frame of
-    H = h + 2 * ph rows, each led by pw zeros that also pad the row before
-    on the right.  Tap (i, j) starts at i * dh * W + j * dw, so its entry
-    r * W + col holds the value that kernel entry (i, j) multiplies at output
-    site (r, col) when col < w, and spill when col >= w."""
-    n, c, h, w = x.shape
-    dh, dw = dilation
-    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
-    if ph == pw == 0:
-        return [x.reshape(n, c, h * w)], w
-    width, height = w + pw, h + 2 * ph
-    frame = np.zeros((n, c, height * width + 2 * pw), dtype=x.dtype)
-    frame[..., :height * width].reshape(n, c, height, width, copy=False)[..., ph:ph + h, pw:] = x
-    starts = [i * dh * width + j * dw for i in range(kh) for j in range(kw)]
-    return [frame[..., s:s + h * width] for s in starts], width
-
-
 # Byte budget of one block of stacked depthwise taps; see _conv_forward.
 TAP_STACK_BYTES = 1 << 20
 
@@ -336,22 +311,23 @@ def _in_range(size: int, offset: int) -> tuple[int, int]:
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
-    """Cross-correlate ``x`` with ``w``.
+    """Cross-correlate ``x`` with ``w`` into a C-contiguous array.
 
-    Which reads copy from ``x`` and which read ``_taps``' padded frame:
-    a depthwise kernel, in the forward and in the input gradient, copies
-    its taps straight from ``x``, which may be strided, and returns a
-    C-contiguous array.  A full kernel stacks the taps of the frame and
-    crops the spill columns off its one product, so with padding its
-    output is a strided view; the weight gradients read the frame too.
-
-    A depthwise kernel takes its channels in blocks whose stacked taps,
-    n * T * h * w * itemsize bytes for T taps, fit in TAP_STACK_BYTES, and
-    one tap block serves every channel block.  Untaped default-config
-    forwards by budget and input size, each the fastest of 3 calls in a
-    fresh process, medians of 8 interleaved rounds on one BLAS thread of a
-    2-core machine with 2 MiB of L2 per core.  Single rounds spread widely
-    (1 MiB: 0.63-0.86 s at 32x96, 0.33-0.52 s at 16x96):
+    A 1x1 full kernel multiplies ``x`` itself.  Every other kernel copies
+    its taps from ``x``, which may be strided, into a tap block of shape
+    (n, channels, T, h, w) for T taps: the part of each tap that reads the
+    zero padding is zeroed once per call, and each block of channels
+    copies only the part that lies inside ``x``.  A full kernel fills one
+    block of all its input channels, whose rows are ordered like a
+    flattened kernel, and takes one product.  A depthwise kernel takes its
+    channels in blocks whose stacked taps, n * T * h * w * itemsize bytes,
+    fit in TAP_STACK_BYTES, with one batched (1, T) x (T, h * w) product
+    per image and channel, and one tap block serves every channel block.
+    Untaped default-config forwards by budget and input size, each the
+    fastest of 3 calls in a fresh process, medians of 8 interleaved rounds
+    on one BLAS thread of a 2-core machine with 2 MiB of L2 per core.
+    Single rounds spread widely (1 MiB: 0.63-0.86 s at 32x96, 0.33-0.52 s
+    at 16x96):
 
         budget      32x96    16x96
         256 KiB     0.76 s   0.38 s
@@ -362,22 +338,21 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
         unblocked   0.97 s   0.46 s
     """
     n, cin, h, wd = x.shape
-    kh, kw = w.shape[2:]
+    cout, _, kh, kw = w.shape
     if w.shape[1] == cin:
-        taps, width = _taps(x, kh, kw, dilation)
-        # stacked rows are ordered like a flattened kernel; rebinding frees the frame
-        taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
-        out = np.matmul(w.reshape(w.shape[0], -1), taps)
-        return out.reshape(n, -1, h, width)[..., :wd]  # crop the spill
-    # depthwise: per block of channels, weigh the T taps with one batched
-    # (1, T) x (T, h * w) product per (n, c)
+        if kh == kw == 1:
+            return np.matmul(w.reshape(cout, cin), x.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
+        # one group of every input channel: a single (cout, cin * T) product
+        kernels, step = w.reshape(1, cout, -1), cin
+    else:
+        kernels = w.reshape(cin, 1, -1)
+        step = max(1, TAP_STACK_BYTES // (n * kh * kw * h * wd * x.itemsize))
     dh, dw = dilation
     ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
-    step = max(1, TAP_STACK_BYTES // (n * kh * kw * h * wd * x.itemsize))
     # the output before the tap block: in the other order the freed block
     # leaves a heap hole under each output the tape keeps, and a training
     # step peaked higher
-    out = np.empty((n, cin, 1, h * wd), dtype=np.result_type(x, w))
+    out = np.empty((n, *kernels.shape[:2], h * wd), dtype=np.result_type(x, w))
     block = np.empty((n, min(step, cin), kh * kw, h, wd), dtype=x.dtype)
     copies = []
     for t in range(kh * kw):
@@ -395,14 +370,14 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
         if r0 < r1 and c0 < c1:
             copies.append((block[:, :, t, r0:r1, c0:c1],
                            slice(r0 + sy, r1 + sy), slice(c0 + sx, c1 + sx)))
-    kernels = w.reshape(cin, 1, -1)
-    stack = block.reshape(n, block.shape[1], kh * kw, h * wd)
+    # a full kernel's one group spans the block, so its lo:hi slices are whole
+    stack = block.reshape(n, -1, kernels.shape[2], h * wd)
     for lo in range(0, cin, step):
         hi = min(lo + step, cin)
         for dst, rows, cols in copies:
             dst[:, :hi - lo] = x[:, lo:hi, rows, cols]
         np.matmul(kernels[lo:hi], stack[:, :hi - lo], out=out[:, lo:hi])
-    return out.reshape(n, cin, h, wd)
+    return out.reshape(n, cout, h, wd)
 
 
 # Longest dot product in a depthwise weight gradient.  OpenBLAS splits a
@@ -413,35 +388,51 @@ DOT_PIECE = 8192
 
 
 def _conv_grad_w(x: np.ndarray, gout: np.ndarray, shape, dilation) -> np.ndarray:
+    """The kernel's cotangent from the unpadded maps.  Tap (sy, sx) pairs
+    output site k with input site k + sy * w + sx of the flat maps, so over
+    the span of its in-range sites it is one slice of each, once the
+    cotangent's columns where that shift wraps across a row are zero."""
     n, c, h, w = gout.shape
-    taps, width = _taps(x, *shape[2:], dilation)
-    # the cotangent laid out like a tap, its zero spill cancelling the tap's
-    g = gout if width == w else np.pad(gout, ((0, 0), (0, 0), (0, 0), (0, width - w)))
-    g = g.reshape(n, c, h * width)
-    if shape[1] != x.shape[1]:
-        # depthwise: one dot product per (n, c) and tap, which reads the tap
-        # in place; a stacked batched product, as in the forward, was slower.
+    kh, kw = shape[2:]
+    dh, dw = dilation
+    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
+    xs, g = x.reshape(n, x.shape[1], h * w), gout.reshape(n, c, h * w)
+    grad = np.zeros((*shape[:2], kh * kw), dtype=np.result_type(x, gout))
+    zeroed = {}
+    for t in sorted(range(kh * kw), key=lambda t: abs(t % kw * dw - pw)):
+        sy, sx = t // kw * dh - ph, t % kw * dw - pw
+        (r0, r1), (c0, c1) = _in_range(h, sy), _in_range(w, sx)
+        if r0 == r1 or c0 == c1:
+            continue
+        gt = g
+        if sx:
+            # one copy per sign of sx, zeroed further as |sx| grows; never
+            # in place, since a backward rule may hand one array to several
+            # inputs
+            gt = zeroed.get(sx > 0)
+            if gt is None:
+                gt = zeroed[sx > 0] = g.copy()
+            cut = gt.reshape(n, c, h, w)
+            cut[..., :c0] = cut[..., c1:] = 0
+        lo, hi, shift = r0 * w + c0, (r1 - 1) * w + c1, sy * w + sx
+        tap, gt = xs[..., lo + shift:hi + shift], gt[..., lo:hi]
+        if shape[1] == x.shape[1]:
+            grad[..., t] = np.tensordot(gt, tap, axes=([0, 2], [0, 2]))
+            continue
+        # depthwise: one dot product per (n, c), which reads the tap in
+        # place; a stacked batched product, as in the forward, was slower.
         # Each runs in pieces of at most DOT_PIECE entries, summed in order
-        starts = range(0, h * width, DOT_PIECE)
-        per_tap = []
-        for tap in taps:
-            dots = [np.matmul(tap[:, :, None, lo:lo + DOT_PIECE], g[:, :, lo:lo + DOT_PIECE, None])
-                    for lo in starts]
-            per_tap.append(sum(dots[1:], dots[0]).sum(axis=(0, 2, 3)))
-        return np.stack(per_tap, axis=1).reshape(shape)
-    taps = np.stack(taps, axis=2).reshape(n, -1, h * width) if len(taps) > 1 else taps[0]
-    return np.tensordot(g, taps, axes=([0, 2], [0, 2])).reshape(shape)
+        dots = [np.matmul(tap[:, :, None, p:p + DOT_PIECE], gt[:, :, p:p + DOT_PIECE, None])
+                for p in range(0, hi - lo, DOT_PIECE)]
+        grad[:, 0, t] = sum(dots[1:], dots[0]).sum(axis=(0, 2, 3))
+    return grad.reshape(shape)
 
 
 def _conv_grad_x(gout: np.ndarray, w: np.ndarray, dilation, depthwise: bool) -> np.ndarray:
     # Cross-correlate the output gradient with the spatially flipped kernel,
     # in/out channel roles swapped (a depthwise kernel keeps its layout).
     wt = w if depthwise else w.swapaxes(0, 1)
-    wt = np.ascontiguousarray(wt[..., ::-1, ::-1])
-    dx = _conv_forward(gout, wt, dilation)
-    # a depthwise product is C-contiguous already; a full one with padding
-    # is its product with the spill columns cropped off, a strided view
-    return dx if depthwise else np.ascontiguousarray(dx)
+    return _conv_forward(gout, np.ascontiguousarray(wt[..., ::-1, ::-1]), dilation)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
@@ -475,9 +466,9 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
         raise ShapeError(f"bias shaped {bias.shape}, expected (1, {out_ch}, 1, 1)")
 
     o = _conv_forward(x.data, weights.data, dilation)
-    # the bias goes into the product's own output when that is contiguous
-    # and already of the sum's dtype, so a float64 bias still promotes
-    own = o.flags.c_contiguous and o.dtype == np.result_type(o, bias.data)
+    # the bias goes into the product's own output when that is already of
+    # the sum's dtype, so a float64 bias still promotes
+    own = o.dtype == np.result_type(o, bias.data)
     out = Tensor(np.add(o, bias.data, out=o if own else None))
 
     def bwd(g):

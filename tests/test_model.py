@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,25 @@ class TestForward:
         with pytest.raises(tz.ShapeError, match="channel"):
             md.forward(bad, store)
 
+    @pytest.mark.parametrize("other", [{"n_blocks": 1}, {"global_residual": False}],
+                             ids=["one-block", "no-residual"])
+    def test_config_other_than_the_stores_rejected(self, other):
+        # either would run another network on the store's weights: one
+        # block of its two, or no global residual
+        cfg = ModelConfig(n_blocks=2, width=16)
+        store = md.init_model(cfg, seed=13)
+        pair = random_pair(np.random.default_rng(14))
+        with pytest.raises(ValueError, match="is not the weight store's"):
+            md.forward(pair, store, replace(cfg, **other))
+
+    def test_stores_own_config_runs(self):
+        cfg = ModelConfig(n_blocks=2, width=16)
+        store = md.init_model(cfg, seed=13)
+        pair = random_pair(np.random.default_rng(14))
+        given, default = md.forward(pair, store, cfg), md.forward(pair, store)
+        np.testing.assert_array_equal(given.left.data, default.left.data)
+        np.testing.assert_array_equal(given.right.data, default.right.data)
+
     def test_view_swap_symmetry_with_symmetric_stages(self):
         # symmetric cross-view parameters + converged transport -> swapping
         # the input views swaps the outputs
@@ -267,8 +287,8 @@ class TestForward:
             "(grad,) = tape.gradients(loss, [scores])\n"
             "digest = hashlib.sha256(out.left.data.tobytes()+out.right.data.tobytes()"
             "+plan.data.tobytes()+grad.tobytes())\n"
-            # a 256-wide frame row holds about 66k elements, long enough for
-            # BLAS to split a dot product across threads
+            # a 256x256 map holds about 66k elements, long enough for BLAS
+            # to split a dot product across threads
             "x = Tensor(rng.normal(size=(1,8,256,256)).astype(np.float32))\n"
             "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3)), ((8,8,3,3),(1,1))):\n"
             "    w = Tensor(rng.normal(size=shape).astype(np.float32))\n"
@@ -277,10 +297,11 @@ class TestForward:
             "        loss = tz.sum_all(tz.mul(tz.conv2d(x, w, tz.zeros((1,8,1,1)), dilation), g))\n"
             "    for d in tape.gradients(loss, [x, w]):\n"
             "        digest.update(d.tobytes())\n"
-            # float64 depthwise weight gradients at 128x128 take dot products
-            # of 16.5k-18.3k entries per channel, which BLAS would split
+            # float64 weight gradients at 128x128: depthwise taps take dot
+            # products of 16.3k-16.4k entries per channel, which BLAS would
+            # split, and the full kernel one product of that length per tap
             "x = Tensor(rng.normal(size=(1,8,128,128)))\n"
-            "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3))):\n"
+            "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3)), ((8,8,3,3),(1,1))):\n"
             "    w = Tensor(rng.normal(size=shape))\n"
             "    g = Tensor(rng.normal(size=x.shape))\n"
             "    with tz.GradTape() as tape:\n"

@@ -81,35 +81,61 @@ ORACLE_SPECS = [
     ((6, 4, 3, 3), (2, 2)),
 ]
 
-# the frame's edge cases, each run on every spec: a 1x1 input, float64,
-# and a channels-last layout as ImageBuffer.to_tensor returns it
+# edge cases of the tap layout, each run on every spec: a 1x1 input,
+# float64, and a channels-last layout as ImageBuffer.to_tensor returns it
 ORACLE_INPUTS = {"1x1": ((1, 1), np.float32, False),
                  "float64": ((6, 7), np.float64, False),
                  "hwc": ((6, 7), np.float32, True)}
 
 
-def frame_depthwise_oracle(x, w, dilation):
-    """The depthwise forward as it was before taps were copied straight
-    from the input: the input zero-padded into one flat frame per channel of
-    h + 2 ph rows of w + pw entries, each led by pw zeros that also pad the
-    row before; tap (i, j) the run of h * (w + pw) entries from
-    i * dh * (w + pw) + j * dw; channels in blocks of 1 MiB of stacked taps,
-    each one batched product; the spill columns cropped off."""
+def frame_taps(x, kh, kw, dilation):
+    """Taps as earlier versions read them: the input zero-padded into one
+    flat frame per channel of h + 2 ph rows of W = w + pw entries, each led
+    by pw zeros that also pad the row before; tap (i, j) the run of h * W
+    entries from i * dh * W + j * dw, whose last pw columns per row are
+    spill.  Returns the taps and W."""
     n, c, h, wd = x.shape
-    kh, kw = w.shape[2:]
     dh, dw = dilation
     ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
     width, height = wd + pw, h + 2 * ph
     frame = np.zeros((n, c, height * width + 2 * pw), dtype=x.dtype)
     frame[..., :height * width].reshape(n, c, height, width)[..., ph:ph + h, pw:] = x
-    taps = [frame[..., s:s + h * width]
-            for s in (i * dh * width + j * dw for i in range(kh) for j in range(kw))]
+    return [frame[..., s:s + h * width]
+            for s in (i * dh * width + j * dw for i in range(kh) for j in range(kw))], width
+
+
+def frame_depthwise_oracle(x, w, dilation):
+    """The depthwise forward as it was before taps were copied straight
+    from the input: the frame's taps, channels in blocks of 1 MiB of
+    stacked taps, each one batched product, the spill columns cropped off."""
+    n, c, h, wd = x.shape
+    taps, width = frame_taps(x, *w.shape[2:], dilation)
     out = np.empty((n, c, 1, h * width), dtype=np.result_type(x, w))
     step = max(1, (1 << 20) // (n * len(taps) * h * width * x.itemsize))
     for lo in range(0, c, step):
         block = np.stack([tap[:, lo:lo + step] for tap in taps], axis=2)
         np.matmul(w.reshape(c, 1, -1)[lo:lo + step], block, out=out[:, lo:lo + step])
     return out.reshape(n, c, h, width)[..., :wd]
+
+
+def frame_grad_w_oracle(x, g, shape, dilation):
+    """The weight gradient as it was before it read the unpadded maps: the
+    frame's taps against the cotangent padded with zero spill columns.  A
+    depthwise tap takes one dot product per (n, c), in pieces of 8,192
+    entries summed in order; a full kernel one product with the stacked
+    taps."""
+    n, c, h, wd = g.shape
+    taps, width = frame_taps(x, *shape[2:], dilation)
+    g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, width - wd))).reshape(n, c, h * width)
+    if shape[1] != x.shape[1]:
+        per_tap = []
+        for tap in taps:
+            dots = [np.matmul(tap[:, :, None, lo:lo + 8192], g[:, :, lo:lo + 8192, None])
+                    for lo in range(0, h * width, 8192)]
+            per_tap.append(sum(dots[1:], dots[0]).sum(axis=(0, 2, 3)))
+        return np.stack(per_tap, axis=1).reshape(shape)
+    stack = np.stack(taps, axis=2).reshape(n, -1, h * width)
+    return np.tensordot(g, stack, axes=([0, 2], [0, 2])).reshape(shape)
 
 
 class TestTensorType:
@@ -260,6 +286,39 @@ class TestConv2d:
             np.testing.assert_array_equal(got[:, :-3], want[:, :-3], err_msg=name)
             np.testing.assert_allclose(got[:, -3:], want[:, -3:], rtol=0, atol=1e-13,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("shape, dilation, channels, size, dtype, hwc", [
+        pytest.param(shape, dilation, ORACLE_CHANNELS, *case, id=f"spec{i}-{name}")
+        for name, case in ORACLE_INPUTS.items()
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS)
+    ] + [
+        pytest.param((48, 1 if shape[1] == 1 else 48, *shape[2:]), dilation, 48, size, dtype,
+                     False, id=f"spec{i}-48x{size[0]}x{size[1]}-{np.dtype(dtype).name}")
+        for size in ((16, 96), (32, 96))
+        for dtype in (np.float32, np.float64)
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS)
+    ] + [
+        # a full kernel field of 15x17 on a 6x7 map: the outer taps' shifts
+        # (7 rows, 8 columns) leave them no site inside the map
+        pytest.param((6, 4, 3, 3), (7, 8), ORACLE_CHANNELS, (6, 7), dtype, False,
+                     id=f"full-wider-than-map-{np.dtype(dtype).name}")
+        for dtype in (np.float32, np.float64)
+    ])
+    def test_grad_w_matches_frame_oracle(self, shape, dilation, channels, size, dtype, hwc):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(1, channels, *size)).astype(dtype)
+        if hwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=shape).astype(dtype)
+        g = rng.normal(size=(1, shape[0], *size)).astype(dtype)
+        inputs = [Tensor(x), Tensor(w), tz.zeros((1, shape[0], 1, 1), dtype)]
+        with GradTape() as tape:
+            loss = tz.sum_all(tz.mul(tz.conv2d(*inputs, dilation), Tensor(g)))
+        got = tape.gradients(loss, inputs)[1]
+        want = frame_grad_w_oracle(x, g, shape, dilation)
+        assert got.dtype == want.dtype == dtype and got.shape == shape
+        bound = 1e-13 if dtype == np.float64 else 1e-5
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
     @pytest.mark.parametrize("shape", [(4, 1, 3, 3), (6, 4, 3, 3), (6, 4, 1, 1)],
                              ids=["depthwise", "full", "pointwise"])

@@ -40,7 +40,7 @@ def _sinkhorn_unrolled(m: CostVolume, cfg: SinkhornConfig) -> Tensor:
     the form ``sinkhorn`` replaces, kept as its forward and gradient oracle."""
     scores = m.values
     n, rows, w, _ = scores.shape
-    log_w = math.log(w)
+    log_w = tz.full((1, 1, 1, 1), math.log(w), dtype=scores.dtype)
     u = tz.zeros((n, rows, w, 1), dtype=scores.dtype)
     v = tz.zeros((n, rows, 1, w), dtype=scores.dtype)
     for _ in range(cfg.iters):
