@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, add, conv2d, global_avg_pool, layer_norm, mul, simple_gate
+from .tensor import Tensor, add, conv1x1, conv2d, global_avg_pool, mul, normalize, simple_gate
 
 DEFAULT_LSKA_BRANCHES = (
     # small / medium / large effective fields: 7, 23, 35
@@ -75,6 +75,15 @@ def apply_conv(x: Tensor, p, name: str, dilation=(1, 1)) -> Tensor:
     return conv2d(x, p[f"{name}.weight"], p[f"{name}.bias"], dilation)
 
 
+def apply_conv1x1(x: Tensor, p, name: str, norm: str = "", scale: str = "") -> Tensor:
+    """conv1x1 with the kernel and bias that ``p`` holds under ``name``, after
+    the layer norm it holds under ``norm``, or scaled by ``p[scale]``."""
+    w, b = p[f"{name}.weight"], p[f"{name}.bias"]
+    if norm:
+        return conv1x1(normalize(x), w, b, p[f"{norm}.gain"], p[f"{norm}.shift"])
+    return conv1x1(x, w, b, scale=p[scale])
+
+
 def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Simplified channel attention: pool to per-channel statistics, mix with
     a 1x1 convolution, and rescale the input channels.  No nonlinearity."""
@@ -107,24 +116,19 @@ def mscam(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
 
     ``p`` maps the block's parameter names (see :func:`mscab_layout`) to
     tensors."""
-    y = layer_norm(x, p["mscam.norm.gain"], p["mscam.norm.shift"])
-    y = apply_conv(y, p, "mscam.expand")
+    y = apply_conv1x1(x, p, "mscam.expand", norm="mscam.norm")
     y = apply_conv(y, p, "mscam.dwconv")
     y = simple_gate(y)
     y = mslska(y, p, branches)
     y = sca(y, p["mscam.sca.weight"], p["mscam.sca.bias"])
-    y = apply_conv(y, p, "mscam.project")
-    return add(x, mul(p["mscam.res_scale"], y))
+    return add(x, apply_conv1x1(y, p, "mscam.project", scale="mscam.res_scale"))
 
 
 def sffn(x: Tensor, p) -> Tensor:
     """Feed-forward half: norm, expand to 2C, gate back to C, project,
     scaled residual."""
-    y = layer_norm(x, p["sffn.norm.gain"], p["sffn.norm.shift"])
-    y = apply_conv(y, p, "sffn.expand")
-    y = simple_gate(y)
-    y = apply_conv(y, p, "sffn.project")
-    return add(x, mul(p["sffn.res_scale"], y))
+    y = simple_gate(apply_conv1x1(x, p, "sffn.expand", norm="sffn.norm"))
+    return add(x, apply_conv1x1(y, p, "sffn.project", scale="sffn.res_scale"))
 
 
 def mscab_forward(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:

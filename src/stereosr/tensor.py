@@ -481,34 +481,89 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     return out
 
 
+def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, gain: Tensor | None = None,
+            shift: Tensor | None = None, scale: Tensor | None = None) -> Tensor:
+    """r * (W (g * x + s) + b) for an (out_ch, in_ch, 1, 1) kernel W and a
+    (1, out_ch, 1, 1) bias b, with an optional per-input-channel gain g and
+    shift s and per-output-channel scale r; an absent factor is the identity.
+
+    No factor acts on a map.  The forward folds them into the kernel and the
+    bias, W' = diag(r) W diag(g) and b' = r * (W s + b), and takes the one
+    product W' x + b'.  The backward takes dx, dW' and db' from that product
+    and the rest by the chain rule on the weights alone, rebuilding the
+    folded weights, so the record holds no array but x and the operands.
+    W s is an elementwise product summed over in_ch, not a BLAS call.
+    """
+    n, cin, h, wd = x.shape
+    cout = weights.shape[0]
+    # the record's inputs, in the order of the backward's cotangents
+    inputs = tuple(t for t in (x, weights, bias, scale, gain, shift) if t is not None)
+    for t, shape in ((weights, (cout, cin, 1, 1)), (bias, (1, cout, 1, 1)), (gain, (1, cin, 1, 1)),
+                     (shift, (1, cin, 1, 1)), (scale, (1, cout, 1, 1))):
+        if t is not None and t.shape != shape:
+            raise ShapeError(f"1x1 convolution of {cin} into {cout} channels: operand shaped "
+                             f"{t.shape}, expected {shape}")
+    w, b = weights.data.reshape(cout, cin), bias.data.reshape(cout)
+    g, s, r = (None if t is None else t.data.reshape(-1) for t in (gain, shift, scale))
+
+    def fold():
+        # W diag(g) and W s + b, then both scaled by r
+        gained = w if g is None else w * g
+        unscaled = b if s is None else (w * s).sum(axis=1) + b
+        if r is None:
+            return gained, unscaled, gained, unscaled
+        return gained, unscaled, gained * r[:, None], unscaled * r
+
+    _, _, folded, shifted = fold()
+    xs = x.data.reshape(n, cin, h * wd)
+    o = np.matmul(folded, xs)
+    own = o.dtype == np.result_type(o, shifted)
+    out = Tensor(np.add(o, shifted[:, None], out=o if own else None).reshape(n, cout, h, wd))
+    shapes = [t.shape for t in inputs]
+
+    def bwd(grad):
+        gs = grad.reshape(n, cout, h * wd)
+        gained, unscaled, folded, _ = fold()
+        dw = np.tensordot(gs, xs, axes=([0, 2], [0, 2]))
+        db = gs.sum(axis=(0, 2))
+        grads = [np.matmul(folded.T, gs), dw, db]
+        # from the cotangents of W' and b' back through each fold, last first
+        if r is not None:
+            grads.append((dw * gained).sum(axis=1) + db * unscaled)
+            dw *= r[:, None]
+            db *= r
+        if g is not None:
+            grads.append((dw * w).sum(axis=0))
+            dw *= g
+        if s is not None:
+            grads.append((w * db[:, None]).sum(axis=0))
+            dw += db[:, None] * s
+        return tuple(d.reshape(shape) for d, shape in zip(grads, shapes))
+
+    _record("conv1x1", inputs, out, bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Normalization, gating, pooling, rearrangement
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize each (n, h, w) site's channel vector to zero mean / unit
-    variance, then scale by ``gain`` and offset by ``shift`` (both (1, c, 1, 1))."""
-    if gain.shape != (1, x.c, 1, 1) or shift.shape != (1, x.c, 1, 1):
-        raise ShapeError(
-            f"gain/shift must be (1, {x.c}, 1, 1); got {gain.shape} and {shift.shape}"
-        )
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = np.square(centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = centered * inv
-    out = Tensor(gain.data * xhat + shift.data)
+def normalize(x: Tensor, eps: float = 1e-6) -> Tensor:
+    """Layer normalization without its gain and shift, which fold into the
+    1x1 kernel after it (see conv1x1): each (n, h, w) site's channel vector
+    to zero mean and unit variance, (x - mean) / sqrt(var + eps)."""
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + x.dtype.type(eps))
+    xhat *= inv
+    out = Tensor(xhat)
 
     def bwd(g):
-        dgain = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        dshift = g.sum(axis=(0, 2, 3), keepdims=True)
-        dxh = g * gain.data
-        dx = dxh - dxh.mean(axis=1, keepdims=True)
-        dx -= xhat * (dxh * xhat).mean(axis=1, keepdims=True)
+        dx = g - g.mean(axis=1, keepdims=True)
+        dx -= xhat * (g * xhat).mean(axis=1, keepdims=True)
         dx *= inv
-        return dx, dgain, dshift
+        return (dx,)
 
-    _record("layer_norm", (x, gain, shift), out, bwd)
+    _record("normalize", (x,), out, bwd)
     return out
 
 

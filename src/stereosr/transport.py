@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import apply_conv, conv_rows, norm_rows
-from .tensor import ShapeError, Tensor, _record, _unbroadcast, add, layer_norm, mul
+from .blocks import apply_conv1x1, conv_rows, norm_rows
+from .tensor import ShapeError, Tensor, _record, _unbroadcast, add
 
 # Sinkhorn iterations per normalization.  The forward keeps two duals per
 # iteration, so the cap bounds memory as well as work.
@@ -341,16 +341,15 @@ def deam_forward(x_l: Tensor, x_r: Tensor, p,
     """
     if x_l.shape != x_r.shape:
         raise ShapeError(f"view shapes differ: {x_l.shape} vs {x_r.shape}")
-    match_l = apply_conv(layer_norm(x_l, p["norm_l.gain"], p["norm_l.shift"]), p, "match_l")
-    match_r = apply_conv(layer_norm(x_r, p["norm_r.gain"], p["norm_r.shift"]), p, "match_r")
-    value_l = apply_conv(x_l, p, "value_l")
-    value_r = apply_conv(x_r, p, "value_r")
+    match_l = apply_conv1x1(x_l, p, "match_l", norm="norm_l")
+    match_r = apply_conv1x1(x_r, p, "match_r", norm="norm_r")
+    # f * carry(P, v) = carry(P, f * v): each fusion scale acts on the other view's values
+    value_l = apply_conv1x1(x_l, p, "value_l", scale="fuse_scale_r")
+    value_r = apply_conv1x1(x_r, p, "value_r", scale="fuse_scale_l")
 
     plan = sinkhorn(cost_matrix(match_l, match_r), cfg)
-    to_left = carry(plan.values, value_r, to_left=True)
-    to_right = carry(plan.values, value_l, to_left=False)
-    f_l = add(x_l, mul(p["fuse_scale_l"], to_left))
-    f_r = add(x_r, mul(p["fuse_scale_r"], to_right))
+    f_l = add(x_l, carry(plan.values, value_r, to_left=True))
+    f_r = add(x_r, carry(plan.values, value_l, to_left=False))
     return f_l, f_r, plan
 
 
@@ -364,6 +363,11 @@ def deam_layout(c: int) -> list[tuple]:
     ``fuse_scale_l`` / ``fuse_scale_r`` are the per-channel mixing scales on
     the transported features; both start at zero so a fresh stage passes
     its inputs through unchanged.
+
+    ``norm_l.shift`` and ``match_l.bias`` never train: they reach the scores
+    only through W_l s_l + b_l, a constant per column of each row's scores
+    that the first column-dual update absorbs exactly.  The right pair's
+    row offset is absorbed only as the iterations converge.
     """
     rows = norm_rows("norm_l", c) + norm_rows("norm_r", c)
     for name in ("match_l", "match_r", "value_l", "value_r"):

@@ -95,9 +95,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
 
     gain = _rand(rng, (1, 4, 1, 1), 0.5, 1.5)
     shift = _rand(rng, (1, 4, 1, 1))
-    checks.append(
-        ("layer_norm", [x, gain, shift],
-         lambda p: tz.mean_all(tz.mul(tz.layer_norm(p[0], p[1], p[2]), tz.layer_norm(p[0], p[1], p[2])))))
 
     def sinkhorn_loss(p):
         plan = sinkhorn(CostVolume(values=p[0])).values
@@ -111,6 +108,15 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     ramp = np.arange(5, dtype=np.float32).reshape(5, 1) * 30.0
     wide = Tensor(_rand(rng, (1, 2, 5, 5), -2.0, 2.0).data + ramp)
     checks.append(("sinkhorn_wide", [wide], sinkhorn_loss))
+
+    # drawn after every other row's operands, so those stay as they were
+    w, bia, scale = _rand(rng, (6, 4, 1, 1)), _rand(rng, (1, 6, 1, 1)), _rand(rng, (1, 6, 1, 1))
+    checks += [
+        ("normalize", [x, y], lambda p: tz.mean_all(tz.mul(tz.normalize(p[0]), p[1]))),
+        ("conv1x1_gain_shift_scale", [x, w, bia, gain, shift, scale], lambda p: squared(tz.conv1x1(*p))),
+        ("conv1x1_gain_shift", [x, w, bia, gain, shift], lambda p: squared(tz.conv1x1(*p))),
+        ("conv1x1_scale", [x, w, bia, scale], lambda p: squared(tz.conv1x1(*p[:3], scale=p[3]))),
+    ]
 
     return [
         CheckResult(name, grad_check(f, params), PRIMITIVE_TOLERANCE)

@@ -127,7 +127,8 @@ class TestMscabBlocks:
         with GradTape() as tape:
             bk.mscab_forward(x, p, ONE_BRANCH)
         names = {rec.name for rec in tape._records}
-        assert names <= {"conv2d", "layer_norm", "global_avg_pool", "simple_gate", "mul", "add"}
+        assert names <= {"conv2d", "conv1x1", "normalize", "global_avg_pool", "simple_gate",
+                         "mul", "add"}
 
     def test_mscam_gradcheck_all_params(self):
         c = 4

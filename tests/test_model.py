@@ -320,6 +320,18 @@ class TestForward:
             "digest.update(out.data.tobytes())\n"
             "for d in tape.gradients(loss, [x, w]):\n"
             "    digest.update(d.tobytes())\n"
+            # the fused 1x1 convolution in float64 with every factor: its
+            # products contract 48 channels or 4,096 sites, and the weights
+            # fold and unfold by plain reductions
+            "ops = [Tensor(rng.normal(size=s)) for s in ((1,48,64,64), (48,48,1,1), (1,48,1,1),"
+            " (1,48,1,1), (1,48,1,1), (1,48,1,1))]\n"
+            "g = Tensor(rng.normal(size=(1,48,64,64)))\n"
+            "with tz.GradTape() as tape:\n"
+            "    out = tz.conv1x1(*ops)\n"
+            "    loss = tz.sum_all(tz.mul(out, g))\n"
+            "digest.update(out.data.tobytes())\n"
+            "for d in tape.gradients(loss, ops):\n"
+            "    digest.update(d.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         # the child sees only PATH, the thread count and the directory that

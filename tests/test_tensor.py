@@ -377,28 +377,115 @@ class TestConv2d:
 class TestLayerNorm:
     def test_constant_input_gives_zeros(self):
         x = tz.full((2, 3, 4, 4), 7.0)
-        out = tz.layer_norm(x, tz.full((1, 3, 1, 1), 1.0), tz.zeros((1, 3, 1, 1)))
-        np.testing.assert_array_equal(out.data, np.zeros_like(x.data))
+        np.testing.assert_array_equal(tz.normalize(x).data, np.zeros_like(x.data))
 
     def test_two_channel_site(self):
         # channel vector (1, 3) normalizes to (-1, 1)
         x = tz.tensor(np.array([1.0, 3.0]).reshape(1, 2, 1, 1))
-        out = tz.layer_norm(x, tz.full((1, 2, 1, 1), 1.0), tz.zeros((1, 2, 1, 1)), eps=1e-12)
-        np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
+        np.testing.assert_allclose(tz.normalize(x, eps=1e-12).data.ravel(), [-1.0, 1.0], atol=1e-5)
 
     def test_zero_gain_gives_shift(self):
+        # through an identity kernel, the folded bias W s + b is the shift
         x = tz.tensor(np.random.default_rng(0).normal(size=(1, 4, 3, 3)))
-        out = tz.layer_norm(x, tz.zeros((1, 4, 1, 1)), tz.full((1, 4, 1, 1), 5.0))
+        eye = tz.tensor(np.eye(4).reshape(4, 4, 1, 1))
+        out = tz.conv1x1(tz.normalize(x), eye, tz.zeros((1, 4, 1, 1)),
+                         tz.zeros((1, 4, 1, 1)), tz.full((1, 4, 1, 1), 5.0))
         np.testing.assert_array_equal(out.data, np.full_like(x.data, 5.0))
 
     def test_normalization_statistics(self):
         rng = np.random.default_rng(4)
         x = Tensor((rng.normal(size=(2, 16, 5, 5)) * 3.0).astype(np.float32))
-        out = tz.layer_norm(x, tz.full((1, 16, 1, 1), 1.0), tz.zeros((1, 16, 1, 1)))
+        out = tz.normalize(x)
         mu = out.data.mean(axis=1)
         var = out.data.var(axis=1)
         assert np.abs(mu).max() < 1e-5
         assert np.abs(var - 1.0).max() < 1e-3
+
+
+def unfolded_oracle(x, w, b, g, s, r, cot, eps=1e-6):
+    """The composition conv1x1 replaces, in numpy at the operands' dtype:
+    layer norm with gain g and shift s (when g is given), a 1x1 convolution,
+    and a product by r (when given).  Returns the output and the cotangents
+    of (x, w, b, g, s, r) for the output cotangent ``cot``, by hand."""
+    kernel = w[:, :, 0, 0]
+    y = x
+    if g is not None:
+        centered = x - x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(centered).mean(axis=1, keepdims=True) + x.dtype.type(eps))
+        xhat = centered * inv
+        y = g * xhat + s
+    z = np.einsum("oi,nihw->nohw", kernel, y) + b
+    out, dz = z, cot
+    grads = {}
+    if r is not None:
+        out, dz = r * z, cot * r
+        grads["r"] = (cot * z).sum(axis=(0, 2, 3), keepdims=True)
+    grads["b"] = dz.sum(axis=(0, 2, 3), keepdims=True)
+    grads["w"] = np.einsum("nohw,nihw->oi", dz, y)[:, :, None, None]
+    dy = np.einsum("oi,nohw->nihw", kernel, dz)
+    grads["x"] = dy
+    if g is not None:
+        grads["g"] = (dy * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        grads["s"] = dy.sum(axis=(0, 2, 3), keepdims=True)
+        dxh = dy * g
+        dx = dxh - dxh.mean(axis=1, keepdims=True) - xhat * (dxh * xhat).mean(axis=1, keepdims=True)
+        grads["x"] = dx * inv
+    return out, grads
+
+
+class TestConv1x1:
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("factors", ["gsr", "gs", "r"])
+    def test_matches_the_unfolded_composition(self, dtype, tol, factors):
+        # output and every input cotangent, relative to the largest entry
+        rng = np.random.default_rng(42)
+        n, cin, cout, h, w = 2, 8, 6, 5, 7
+        ops = {"x": rng.normal(size=(n, cin, h, w)), "w": rng.normal(size=(cout, cin, 1, 1)),
+               "b": rng.normal(size=(1, cout, 1, 1)), "g": rng.uniform(0.5, 1.5, (1, cin, 1, 1)),
+               "s": rng.normal(size=(1, cin, 1, 1)), "r": rng.normal(size=(1, cout, 1, 1))}
+        ops = {k: v.astype(dtype) for k, v in ops.items()
+               if k in "xwb" or k in factors}
+        cot = rng.normal(size=(n, cout, h, w)).astype(dtype)
+        want, want_grads = unfolded_oracle(*(ops.get(k) for k in "xwbgsr"), cot)
+        t = {k: Tensor(v) for k, v in ops.items()}
+        with GradTape() as tape:
+            x = tz.normalize(t["x"]) if "g" in t else t["x"]
+            out = tz.conv1x1(x, t["w"], t["b"], t.get("g"), t.get("s"), t.get("r"))
+            loss = tz.sum_all(tz.mul(out, Tensor(cot)))
+        assert out.dtype == dtype
+        np.testing.assert_array_less(np.abs(out.data - want).max(), tol * np.abs(want).max())
+        for k, got in zip(t, tape.gradients(loss, list(t.values()))):
+            assert got.shape == ops[k].shape and got.dtype == dtype, k
+            err = np.abs(got - want_grads[k]).max() / np.abs(want_grads[k]).max()
+            assert err < tol, f"d{k}: {err:.2e}"
+
+    def test_zero_scale_gives_exact_zeros(self):
+        # a fresh cross-view stage's fusion scale: nothing reaches the output
+        # and the kernel gets no gradient, exactly
+        rng = np.random.default_rng(43)
+        x, w, b = (Tensor(rng.normal(size=shape).astype(np.float32))
+                   for shape in ((1, 4, 3, 5), (4, 4, 1, 1), (1, 4, 1, 1)))
+        scale = tz.zeros((1, 4, 1, 1))
+        with GradTape() as tape:
+            out = tz.conv1x1(x, w, b, scale=scale)
+            loss = tz.sum_all(tz.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        np.testing.assert_array_equal(out.data, 0.0)
+        dw, dr = tape.gradients(loss, [w, scale])
+        np.testing.assert_array_equal(dw, 0.0)
+        assert np.abs(dr).min() > 0
+
+    @pytest.mark.parametrize("weights, bias, factor", [
+        ((2, 4, 1, 1), (1, 2, 1, 1), None),
+        ((2, 3, 3, 3), (1, 2, 1, 1), None),
+        ((2, 3, 1, 1), (1, 3, 1, 1), None),
+        ((2, 3, 1, 1), (1, 2, 1, 1), ("scale", (1, 3, 1, 1))),
+        ((2, 3, 1, 1), (1, 2, 1, 1), ("gain", (1, 2, 1, 1))),
+    ], ids=["in-channels", "not-1x1", "bias", "scale", "gain"])
+    def test_shape_mismatch_rejected(self, weights, bias, factor):
+        kwargs = {} if factor is None else {factor[0]: tz.zeros(factor[1])}
+        with pytest.raises(ShapeError):
+            tz.conv1x1(tz.zeros((1, 3, 4, 5)), tz.zeros(weights), tz.zeros(bias), **kwargs)
 
 
 class TestSimpleGate:
@@ -703,14 +790,16 @@ class TestGradCheck:
         b = Tensor((rng.normal(size=(1, 8, 1, 1)) * 0.1).astype(np.float32))
         gain = Tensor(np.ones((1, 4, 1, 1), np.float32))
         shift = Tensor(np.zeros((1, 4, 1, 1), np.float32))
+        project = Tensor((rng.normal(size=(4, 4, 1, 1)) * 0.5).astype(np.float32))
+        project_b = Tensor(np.zeros((1, 4, 1, 1), np.float32))
 
         def f(p):
             y = tz.conv2d(p[0], p[1], p[2])
             y = tz.simple_gate(y)
-            y = tz.layer_norm(y, p[3], p[4])
+            y = tz.conv1x1(tz.normalize(y), p[5], p[6], p[3], p[4])
             return tz.mean_all(tz.mul(y, y))
 
-        assert tz.grad_check(f, [x, w, b, gain, shift]) < 1e-4
+        assert tz.grad_check(f, [x, w, b, gain, shift, project, project_b]) < 1e-4
 
 
 class TestDeterminism:

@@ -328,14 +328,18 @@ class TestTapeHygiene:
         n, c, h, w, iters = 1, 16, 24, 72, 10
         big_h, big_w = 4 * h, 4 * w
         site = n * h * w  # one channel of one view's features
+        # each norm's output is read by its backward and by the 1x1
+        # convolution after it, which folds the norm's gain and shift, so
+        # the two share one map; residual and fusion scales fold into the
+        # kernels before them, so no unscaled projection or carry is kept
         per_view_block = (
-            21 * c * site  # MSCAM: norm 1, expand 1, dwconv 2, gate 2, LSKA input 1,
+            19 * c * site  # MSCAM: norm and expand 1, dwconv 2, gate 2, LSKA input 1,
                            # branch inner maps 3 x 3, fuse 1, attention 1, SCA 1,
-                           # project 1, residual scale 1
-            + 6 * c * site  # SFFN: norm 1, expand 1, gate 2, project 1, residual scale 1
-            + 6 * c * site  # cross-view stage: norm 1, match conv 1, value conv 1,
-                            # cost matrix 1, carry 1, fusion scale 1
-            + 3 * site      # the three layer norms' inverse deviations
+                           # project 1
+            + 4 * c * site  # SFFN: norm and expand 1, gate 2, project 1
+            + 4 * c * site  # cross-view stage: norm and match conv 1, value conv 1,
+                            # cost matrix 1, carry 1
+            + 3 * site      # the three norms' inverse deviations
         )
         per_block = (2 * per_view_block
                      + 2 * n * h * w * w          # the scores and the plan
