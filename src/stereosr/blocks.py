@@ -77,18 +77,18 @@ def apply_conv(x: Tensor, p, name: str, dilation=(1, 1)) -> Tensor:
 
 def apply_conv1x1(x: Tensor, p, name: str, norm: str = "", scale: str = "") -> Tensor:
     """conv1x1 with the kernel and bias that ``p`` holds under ``name``, after
-    the layer norm it holds under ``norm``, or scaled by ``p[scale]``."""
+    the layer norm it holds under ``norm``, or scaled by ``p[scale]``, or
+    neither."""
     w, b = p[f"{name}.weight"], p[f"{name}.bias"]
     if norm:
         return conv1x1(normalize(x), w, b, p[f"{norm}.gain"], p[f"{norm}.shift"])
-    return conv1x1(x, w, b, scale=p[scale])
+    return conv1x1(x, w, b, scale=p[scale] if scale else None)
 
 
 def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Simplified channel attention: pool to per-channel statistics, mix with
     a 1x1 convolution, and rescale the input channels.  No nonlinearity."""
-    s = conv2d(global_avg_pool(y), w, b)
-    return mul(y, s)
+    return mul(y, conv1x1(global_avg_pool(y), w, b))
 
 
 def _lska_branch(y: Tensor, p, j: int, branch: LskaBranch) -> Tensor:
@@ -106,8 +106,7 @@ def mslska(y: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:
     acc = _lska_branch(y, p, 0, branches[0])
     for j, branch in enumerate(branches[1:], start=1):
         acc = add(acc, _lska_branch(y, p, j, branch))
-    attn = apply_conv(acc, p, "mscam.lska.fuse")
-    return mul(y, attn)
+    return mul(y, apply_conv1x1(acc, p, "mscam.lska.fuse"))
 
 
 def mscam(x: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:

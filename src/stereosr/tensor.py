@@ -313,16 +313,17 @@ def _in_range(size: int, offset: int) -> tuple[int, int]:
 def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     """Cross-correlate ``x`` with ``w`` into a C-contiguous array.
 
-    A 1x1 full kernel multiplies ``x`` itself.  Every other kernel copies
-    its taps from ``x``, which may be strided, into a tap block of shape
-    (n, channels, T, h, w) for T taps: the part of each tap that reads the
-    zero padding is zeroed once per call, and each block of channels
-    copies only the part that lies inside ``x``.  A full kernel fills one
-    block of all its input channels, whose rows are ordered like a
-    flattened kernel, and takes one product.  A depthwise kernel takes its
-    channels in blocks whose stacked taps, n * T * h * w * itemsize bytes,
-    fit in TAP_STACK_BYTES, with one batched (1, T) x (T, h * w) product
-    per image and channel, and one tap block serves every channel block.
+    The network's 1x1 kernels go through conv1x1, so this serves the
+    kernels with taps.  It copies the taps from ``x``, which may be
+    strided, into a tap block of shape (n, channels, T, h, w) for T taps:
+    the part of each tap that reads the zero padding is zeroed once per
+    call, and each block of channels copies only the part that lies inside
+    ``x``.  A full kernel fills one block of all its input channels, whose
+    rows are ordered like a flattened kernel, and takes one product.  A
+    depthwise kernel takes its channels in blocks whose stacked taps,
+    n * T * h * w * itemsize bytes, fit in TAP_STACK_BYTES, with one
+    batched (1, T) x (T, h * w) product per image and channel, and one tap
+    block serves every channel block.
     Untaped default-config forwards by budget and input size, each the
     fastest of 3 calls in a fresh process, medians of 8 interleaved rounds
     on one BLAS thread of a 2-core machine with 2 MiB of L2 per core.
@@ -340,8 +341,6 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     if w.shape[1] == cin:
-        if kh == kw == 1:
-            return np.matmul(w.reshape(cout, cin), x.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
         # one group of every input channel: a single (cout, cin * T) product
         kernels, step = w.reshape(1, cout, -1), cin
     else:
@@ -445,7 +444,8 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     kernel on a 1-channel input fits both readings, which compute the same
     map; it takes the full path.  Effective extents (k - 1) * dilation + 1
     must be odd, so the symmetric padding (k - 1) * dilation / 2 reproduces
-    the input's spatial size exactly.
+    the input's spatial size exactly.  A 1x1 kernel is accepted, but the
+    network applies every 1x1 kernel with conv1x1.
     """
     out_ch, in_ch, kh, kw = weights.shape
     depthwise = in_ch != x.c

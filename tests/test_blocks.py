@@ -1,6 +1,8 @@
 """Block behavior: attention wiring, identity paths, receptive fields, and
 gradients of every block parameter."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -120,15 +122,19 @@ class TestMscabBlocks:
         )
 
     def test_activation_free_op_audit(self):
-        # the recorded graph may only contain convolution, normalization,
-        # pooling, the gate, products and additions
-        p = small_params(seed=11)
+        # the recorded graph holds only convolution, normalization, pooling,
+        # the gate, products and additions.  Every 1x1 kernel (expand, fuse,
+        # SCA and project in MSCAM, expand and project in SFFN) is a conv1x1;
+        # conv2d applies the dwconv and the 4 kernels of each of 3 branches.
+        # The adds are 2 branch sums and 2 residuals
+        branches = bk.default_branches()
+        p = small_params(branches=branches, seed=11)
         x = tz.tensor(np.random.default_rng(12).normal(size=(1, 4, 5, 5)))
         with GradTape() as tape:
-            bk.mscab_forward(x, p, ONE_BRANCH)
-        names = {rec.name for rec in tape._records}
-        assert names <= {"conv2d", "conv1x1", "normalize", "global_avg_pool", "simple_gate",
-                         "mul", "add"}
+            bk.mscab_forward(x, p, branches)
+        assert Counter(rec.name for rec in tape._records) == {
+            "normalize": 2, "conv1x1": 6, "conv2d": 13, "simple_gate": 2, "add": 4, "mul": 2,
+            "global_avg_pool": 1}
 
     def test_mscam_gradcheck_all_params(self):
         c = 4

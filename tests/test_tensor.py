@@ -436,7 +436,7 @@ def unfolded_oracle(x, w, b, g, s, r, cot, eps=1e-6):
 class TestConv1x1:
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)],
                              ids=["float32", "float64"])
-    @pytest.mark.parametrize("factors", ["gsr", "gs", "r"])
+    @pytest.mark.parametrize("factors", ["gsr", "gs", "r", ""], ids=["gsr", "gs", "r", "plain"])
     def test_matches_the_unfolded_composition(self, dtype, tol, factors):
         # output and every input cotangent, relative to the largest entry
         rng = np.random.default_rng(42)

@@ -242,7 +242,7 @@ def _wide_range_stage():
 class TestTapeCoverage:
     def test_every_recorded_primitive_has_a_gradient_check(self):
         # a record name is covered by a check of the same name or one that
-        # extends it (conv2d by conv2d_1x1, spectral_l1 by spectral_l1_even);
+        # extends it (conv2d by conv2d_full_3x3, spectral_l1 by spectral_l1_even);
         # the wide-range stage adds the records of the log-domain fallback
         tape, _, _ = _acceptance_step()
         wide = _wide_range_stage()
