@@ -269,7 +269,7 @@ class TestForward:
     def test_bit_identical_across_blas_thread_counts(self):
         script = (
             "import numpy as np, hashlib\n"
-            "from stereosr import model as md, tensor as tz, transport as ot\n"
+            "from stereosr import metrics as mt, model as md, tensor as tz, transport as ot\n"
             "from stereosr.model import ModelConfig, StereoPair\n"
             "from stereosr.blocks import LskaBranch\n"
             "from stereosr.tensor import Tensor\n"
@@ -332,6 +332,10 @@ class TestForward:
             "digest.update(out.data.tobytes())\n"
             "for d in tape.gradients(loss, ops):\n"
             "    digest.update(d.tobytes())\n"
+            # float64 SSIM of a 200x900 RGB pair: its window means are
+            # products of banded matrices with tiles of both images
+            "pair = [Tensor(rng.uniform(size=(1,3,200,900))) for _ in range(2)]\n"
+            "digest.update(repr(mt.ssim(*pair)).encode())\n"
             "print(digest.hexdigest())\n"
         )
         # the child sees only PATH, the thread count and the directory that
