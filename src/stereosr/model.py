@@ -220,19 +220,6 @@ def init_model(cfg: ModelConfig, seed: int) -> WeightStore:
     return WeightStore(cfg, params.items())
 
 
-def _check_layout(store: WeightStore) -> None:
-    """Raise WeightFormatError unless ``store`` holds every tensor its
-    config's layout lists, with the listed shapes.  A store read from a file
-    no longer than ``_file_size`` then holds no other tensor."""
-    for name, shape, _ in layout(store.config):
-        if name not in store:
-            raise WeightFormatError(f"missing tensor {name!r}, which the config needs")
-        if store[name].shape != shape:
-            raise WeightFormatError(
-                f"tensor {name!r} has shape {store[name].shape}, the config needs {shape}"
-            )
-
-
 def _params(store: WeightStore, prefix: str, rows) -> dict[str, Tensor]:
     # one module's tensors keyed by their names relative to ``prefix``
     return {name: store[prefix + name] for name, _, _ in rows}
@@ -289,111 +276,80 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
 # ---------------------------------------------------------------------------
 # Serialization (little-endian, no padding)
 #
-#   magic "MSIN" | version u32 | n_blocks u32 | width u32 | scale u32
-#   | branch_count u32 | per branch: base_k u32, dilated_k u32, dilation u32
-#   | sinkhorn_iters u32 | flags u32 (bit i: _FLAG_FIELDS[i]) | tensor_count u32
-#   | per tensor: name_len u16, utf-8 name, rank u8, dims u32 x rank,
-#     raw float32 values
+#   magic "MSIN" | _HEADER: version, n_blocks, width, scale, branch_count
+#   | per branch _BRANCH: base_k, dilated_k, dilation
+#   | _TAIL: sinkhorn_iters, flags (bit i: _FLAG_FIELDS[i]), tensor_count
+#   | per tensor, _record_head: name_len u16, utf-8 name, _SHAPE: rank u8
+#     (always 4), dims u32 x 4; then the raw float32 values
+#
+# All header words are u32.  A loader checks each record's name, rank and
+# dims against the config's layout before it reads the values, so no read
+# asks for more than one layout tensor or one name.
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<5I")
+_BRANCH = struct.Struct("<3I")
+_TAIL = struct.Struct("<3I")
+_NAME_LEN = struct.Struct("<H")
+_SHAPE = struct.Struct("<B4I")
+
+
+def _record_head(name: str, shape: tuple) -> bytes:
+    """The bytes of a tensor record before its values."""
+    encoded = name.encode("utf-8")
+    return _NAME_LEN.pack(len(encoded)) + encoded + _SHAPE.pack(len(shape), *shape)
+
 
 def save_weights(store: WeightStore, path) -> None:
     """Write the store to ``path`` in the self-describing binary format."""
     cfg = store.config
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<IIII", cfg.n_blocks, cfg.width, cfg.scale, len(cfg.lska_branches))
+    out = bytearray(MAGIC)
+    out += _HEADER.pack(FORMAT_VERSION, cfg.n_blocks, cfg.width, cfg.scale, len(cfg.lska_branches))
     for br in cfg.lska_branches:
-        out += struct.pack("<III", br.base_k, br.dilated_k, br.dilation)
+        out += _BRANCH.pack(br.base_k, br.dilated_k, br.dilation)
     flags = sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS))
-    out += struct.pack("<II", cfg.sinkhorn_iters, flags)
-    out += struct.pack("<I", len(store))
+    out += _TAIL.pack(cfg.sinkhorn_iters, flags, len(store))
     for name, t in store.items():
-        encoded = name.encode("utf-8")
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        out += struct.pack("<B", len(t.shape))
-        out += struct.pack(f"<{len(t.shape)}I", *t.shape)
+        out += _record_head(name, t.shape)
         out += t.data.astype("<f4", copy=False).tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
-def _file_size(cfg: ModelConfig) -> int:
-    """Bytes of a weight file of ``cfg``: the header, then per tensor of the
-    layout its name, rank and dims and its float32 values."""
-    header = 4 + 4 + 16 + 12 * len(cfg.lska_branches) + 8 + 4
-    return header + sum(2 + len(name.encode("utf-8")) + 1 + 16 + 4 * math.prod(shape)
-                        for name, shape, _ in layout(cfg))
+def load_weights(path) -> WeightStore:
+    """Read a weight file, validating magic, version, flags and config, then
+    each tensor's name, rank and dims against the config's layout before
+    its values.  Records may come in any order; the store is in layout
+    order."""
+    offset = 0
 
-
-# Largest single read from a weight file: a read reserves the bytes asked
-# for before they arrive.
-READ_PIECE_BYTES = 1 << 20
-
-
-class _Reader:
-    """Takes a weight file's fields in order from the bytes read so far."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.blob = b""
-        self.pos = 0      # of the next field in ``blob``
-        self.offset = 0   # of blob[0] in the file
-
-    def read(self, count: int) -> None:
-        """Keep the bytes not yet taken and read up to ``count`` more, in
-        pieces of at most READ_PIECE_BYTES, so a file that ends early
-        never has the whole count reserved."""
-        pieces = [self.blob[self.pos:]]
-        while count > 0:
-            more = self.fh.read(min(count, READ_PIECE_BYTES))
-            if not more:
-                break
-            pieces.append(more)
-            count -= len(more)
-        self.blob = b"".join(pieces)
-        self.offset += self.pos
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
+    def take(count: int) -> bytes:
+        nonlocal offset
+        chunk = fh.read(count)
+        if len(chunk) < count:
             raise WeightFormatError(
-                f"truncated weight file: needs {count} bytes at offset "
-                f"{self.offset + self.pos}, only {len(self.blob) - self.pos} remain"
-            )
-        chunk = self.blob[self.pos:self.pos + count]
-        self.pos += count
+                f"truncated weight file: needs {count} bytes at offset {offset}, "
+                f"only {len(chunk)} remain")
+        offset += count
         return chunk
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(fmt: struct.Struct) -> tuple:
+        return fmt.unpack(take(fmt.size))
 
-
-def load_weights(path) -> WeightStore:
-    """Read a weight file, validating magic, version, flags, framing, and
-    the tensor names and shapes against the config's layout.  The magic is
-    checked first; past the config block the file is read no further than
-    ``_file_size`` of the config plus one byte, which tells a longer file."""
     with open(path, "rb") as fh:
-        r = _Reader(fh)
-        r.read(len(MAGIC))
-        if r.take(len(MAGIC)) != MAGIC:
+        if take(len(MAGIC)) != MAGIC:
             raise WeightFormatError(f"bad magic bytes; not a weight file: {path}")
-        r.read(20)   # version, n_blocks, width, scale, branch_count
-        (version,) = r.unpack("<I")
+        version, *sizes, branch_count = unpack(_HEADER)   # sizes: n_blocks, width, scale
         if version != FORMAT_VERSION:
             raise WeightFormatError(
                 f"unsupported format version {version} (expected {FORMAT_VERSION})")
-        *sizes, branch_count = r.unpack("<IIII")   # n_blocks, width, scale
         if branch_count > MAX_BRANCHES:
             raise WeightFormatError(
                 f"invalid config block: branch_count must be at most {MAX_BRANCHES}, "
                 f"got {branch_count}"
             )
-        r.read(12 * branch_count + 8)   # the branches, sinkhorn_iters, flags
-        branches = [r.unpack("<III") for _ in range(branch_count)]
-        sinkhorn_iters, flags = r.unpack("<II")
+        branches = [unpack(_BRANCH) for _ in range(branch_count)]
+        sinkhorn_iters, flags, tensor_count = unpack(_TAIL)
         if flags >> len(_FLAG_FIELDS):
             raise WeightFormatError(f"unknown config flag bits: {flags:#x}")
         try:
@@ -404,30 +360,31 @@ def load_weights(path) -> WeightStore:
             )
         except ValueError as e:
             raise WeightFormatError(f"invalid config block: {e}") from e
-        size = _file_size(cfg)
-        r.read(size + 1 - r.offset - r.pos)
-    if r.offset + len(r.blob) > size:
-        raise WeightFormatError(
-            f"trailing bytes: the weight file runs past the {size} bytes that a file "
-            f"of its config takes")
+        shapes = {name: shape for name, shape, _ in layout(cfg)}
+        if tensor_count != len(shapes):
+            raise WeightFormatError(
+                f"the file holds {tensor_count} tensors, but its config's layout has "
+                f"{len(shapes)}")
 
-    (tensor_count,) = r.unpack("<I")
-    store = WeightStore(cfg)
-    for _ in range(tensor_count):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise WeightFormatError(f"tensor name is not valid UTF-8: {e}") from e
-        (rank,) = r.unpack("<B")
-        if rank != 4:
-            raise WeightFormatError(f"tensor {name!r}: rank {rank}, but tensors are rank-4")
-        dims = r.unpack("<4I")
-        # Python ints: a fixed-width product wraps, and a wrapped count
-        # would pass the framing check
-        raw = r.take(4 * math.prod(dims))
-        store.add(name, Tensor(np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)))
-    if r.pos != len(r.blob):
-        raise WeightFormatError(f"{len(r.blob) - r.pos} trailing bytes after last tensor")
-    _check_layout(store)
-    return store
+        # the right count of layout names, none twice, is every layout tensor
+        store = WeightStore(cfg)
+        for _ in range(tensor_count):
+            (name_len,) = unpack(_NAME_LEN)
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise WeightFormatError(f"tensor name is not valid UTF-8: {e}") from e
+            if name not in shapes:
+                raise WeightFormatError(f"tensor {name!r} is not in the config's layout")
+            rank, *dims = unpack(_SHAPE)
+            if rank != 4:
+                raise WeightFormatError(f"tensor {name!r}: rank {rank}, but tensors are rank-4")
+            shape = tuple(dims)
+            if shape != shapes[name]:
+                raise WeightFormatError(
+                    f"tensor {name!r} has shape {shape}, the config needs {shapes[name]}")
+            raw = take(4 * math.prod(shape))
+            store.add(name, Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)))
+        if fh.read(1):
+            raise WeightFormatError("trailing bytes after the last tensor")
+    return WeightStore(cfg, ((name, store[name]) for name in shapes))

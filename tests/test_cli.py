@@ -19,7 +19,7 @@ from stereosr.blocks import LskaBranch
 from stereosr.images import ImageBuffer, load_png, save_png
 from stereosr.model import (
     MAX_BLOCKS, MAX_BRANCHES, MAX_COST_VOLUME, MAX_WIDTH, ModelConfig, WeightStore,
-    check_cost_volume, init_model, save_weights,
+    check_cost_volume, init_model, layout, save_weights,
 )
 from stereosr.tensor import ShapeError, Tensor
 from stereosr.transport import MAX_SINKHORN_ITERS
@@ -413,10 +413,14 @@ class TestFileSizeBounds:
             os.truncate(weights, weights.stat().st_size + 3 * 2**30)
         if endless.startswith("weights_claim"):
             # a config whose files take 2.45 GB: every cap, the widest
-            # branches, separate view weights
+            # branches, separate view weights; its tensor count and the
+            # first record's name are right, so the dims claim is judged
+            cfg = ModelConfig(MAX_BLOCKS, MAX_WIDTH, 4, (LskaBranch(127, 1, 1),) * MAX_BRANCHES,
+                              share_view_weights=False, global_residual=False)
+            count = len(list(layout(cfg)))
             header = struct.pack("<4s5I", b"MSIN", 1, MAX_BLOCKS, MAX_WIDTH, 4, MAX_BRANCHES)
-            header += struct.pack("<3I", 127, 1, 1) * MAX_BRANCHES + struct.pack("<3I", 10, 0, 1)
-            name = b"intro.weight"
+            header += struct.pack("<3I", 127, 1, 1) * MAX_BRANCHES + struct.pack("<3I", 10, 0, count)
+            name = b"left.intro.weight"
             claim = struct.pack("<H", len(name)) + name + struct.pack("<B4I", 4, 1, 1, 1, 5 * 10**8)
             weights.write_bytes(header + claim + bytes(64))
         if endless == "config":

@@ -2,7 +2,9 @@
 weight file format."""
 
 import hashlib
+import io
 import itertools
+import math
 import re
 import struct
 import subprocess
@@ -395,16 +397,18 @@ class TestSerialization:
         md.save_weights(store, path)
         cfg = store.config
         header = 4 + 4 + 4 * 4 + 12 * len(cfg.lska_branches) + 4 * 2 + 4
-        body = sum(2 + len(n.encode()) + 1 + 4 * 4 + 4 * t.numel for n, t in store.items())
-        assert path.stat().st_size == header + body == md._file_size(cfg)
+        body = sum(2 + len(n.encode()) + 1 + 4 * 4 + 4 * math.prod(shape)
+                   for n, shape, _ in md.layout(cfg))
+        assert path.stat().st_size == header + body
 
     def test_tensor_past_the_config_size_rejected(self, tmp_path):
-        # an extra tensor runs past the bytes the config's layout takes
+        # an extra tensor makes the count one more than the config's layout
         store = self._store()
         extra = WeightStore(store.config, [*store.items(), ("extra", tz.zeros((1, 1, 1, 1)))])
         path = tmp_path / "weights.msin"
         md.save_weights(extra, path)
-        with pytest.raises(WeightFormatError, match="runs past the"):
+        count = f"holds {len(store) + 1} tensors, but its config's layout has {len(store)}"
+        with pytest.raises(WeightFormatError, match=count):
             md.load_weights(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -441,13 +445,10 @@ class TestSerialization:
             md.load_weights(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
-        cfg = tiny_config()
-        store = WeightStore(cfg)
-        store.add("aaaa", tz.zeros((1, 1, 1, 1)))
-        store.add("bbbb", tz.zeros((1, 1, 1, 1)))
+        # a layout name twice, so the count and every shape are right
         path = tmp_path / "weights.msin"
-        md.save_weights(store, path)
-        blob = path.read_bytes().replace(b"bbbb", b"aaaa")
+        md.save_weights(self._store(), path)
+        blob = path.read_bytes().replace(b"block.1.mscam.norm.gain", b"block.0.mscam.norm.gain")
         path.write_bytes(blob)
         with pytest.raises(WeightFormatError, match="duplicate"):
             md.load_weights(path)
@@ -485,14 +486,75 @@ class TestSerialization:
 
     def test_block_count_beyond_file_fails_at_first_missing_tensor(self, tmp_path):
         # a header claiming more blocks than the file holds, but no more
-        # than the cap, is rejected at the first tensor the file lacks
+        # than the cap, is rejected at its tensor count, before any record
+        store = self._store()
         path = tmp_path / "weights.msin"
-        md.save_weights(self._store(), path)
+        md.save_weights(store, path)
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", md.MAX_BLOCKS)
         path.write_bytes(bytes(blob))
-        with pytest.raises(WeightFormatError, match="missing tensor 'block.2.mscam.norm.gain'"):
+        cfg = replace(store.config, n_blocks=md.MAX_BLOCKS)
+        count = f"holds {len(store)} tensors, but its config's layout has {len(list(md.layout(cfg)))}"
+        with pytest.raises(WeightFormatError, match=count):
             md.load_weights(path)
+
+    def test_records_in_any_order_load_in_layout_order(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "weights.msin"
+        md.save_weights(store, path)
+        blob = path.read_bytes()
+        header = pos = 4 + 4 + 4 * 4 + 12 * len(store.config.lska_branches) + 4 * 3
+        records = []
+        for t in store.tensors():
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            end = pos + 2 + name_len + 1 + 4 * 4 + 4 * t.numel
+            records.append(blob[pos:end])
+            pos = end
+        assert pos == len(blob)
+        path.write_bytes(blob[:header] + b"".join(reversed(records)))
+        loaded = md.load_weights(path)
+        assert loaded.names() == [name for name, _, _ in md.layout(store.config)] == store.names()
+        for a, b in zip(store.tensors(), loaded.tensors()):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("claim", [False, True], ids=["default_config", "claim"])
+    def test_no_read_asks_for_more_than_a_name_or_a_layout_tensor(self, tmp_path, monkeypatch,
+                                                                    claim):
+        # a read reserves the bytes it asks for before they arrive
+        path = tmp_path / "weights.msin"
+        if claim:
+            # test_cli's capped-child claim: the config whose files take
+            # 2.45 GB, and a first record that claims 5e8 values
+            cfg = ModelConfig(md.MAX_BLOCKS, md.MAX_WIDTH, 4,
+                              (LskaBranch(127, 1, 1),) * md.MAX_BRANCHES,
+                              share_view_weights=False, global_residual=False)
+            rows = list(md.layout(cfg))
+            header = struct.pack("<4s5I", b"MSIN", 1, md.MAX_BLOCKS, md.MAX_WIDTH, 4,
+                                 md.MAX_BRANCHES)
+            header += struct.pack("<3I", 127, 1, 1) * md.MAX_BRANCHES
+            header += struct.pack("<3I", 10, 0, len(rows))
+            name = rows[0][0].encode()
+            first = struct.pack("<H", len(name)) + name + struct.pack("<B4I", 4, 1, 1, 1, 5 * 10**8)
+            path.write_bytes(header + first + bytes(64))
+        else:
+            cfg = ModelConfig()
+            md.save_weights(md.init_model(cfg, seed=0), path)
+        requests = []
+
+        class LoggedReads(io.BufferedReader):
+            def read(self, size=-1):
+                requests.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(md, "open", lambda file, mode: LoggedReads(io.FileIO(file, mode)),
+                            raising=False)
+        if claim:
+            with pytest.raises(WeightFormatError, match=r"shape \(1, 1, 1, 500000000\)"):
+                md.load_weights(path)
+        else:
+            assert md.load_weights(path).config == cfg
+        bound = max(2**16 - 1, 4 * max(math.prod(shape) for _, shape, _ in md.layout(cfg)))
+        assert requests and all(0 <= size <= bound for size in requests), max(requests)
 
     def test_store_rejects_duplicate_add(self):
         store = WeightStore(tiny_config())
