@@ -8,10 +8,13 @@ bytes, without reading the rest.
 
 Row filters are undone as one wavefront over the anti-diagonals when any
 row is Average or Paeth, and row by row otherwise; both are vectorized.
+The wavefront predicts each diagonal with one lookup in a table of
+predictor offsets, built the first time an image needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -81,18 +84,20 @@ class ImageBuffer:
 # ---------------------------------------------------------------------------
 
 def _iter_chunks(blob: bytes):
+    # each chunk's data is a memoryview of ``blob``, not a copy
+    view = memoryview(blob)
     pos = len(_PNG_SIGNATURE)
     while pos < len(blob):
         if pos + 8 > len(blob):
             raise PngError("truncated chunk header")
-        (length,) = struct.unpack(">I", blob[pos:pos + 4])
+        (length,) = struct.unpack_from(">I", blob, pos)
         ctype = blob[pos + 4:pos + 8]
         data_end = pos + 8 + length
         if data_end + 4 > len(blob):
             raise PngError(f"truncated {ctype!r} chunk")
-        data = blob[pos + 8:data_end]
-        (crc,) = struct.unpack(">I", blob[data_end:data_end + 4])
-        if zlib.crc32(ctype + data) & 0xFFFFFFFF != crc:
+        data = view[pos + 8:data_end]
+        (crc,) = struct.unpack_from(">I", blob, data_end)
+        if zlib.crc32(data, zlib.crc32(ctype)) != crc:
             raise PngError(f"CRC mismatch in {ctype.decode('latin1')} chunk")
         yield ctype, data
         pos = data_end + 4
@@ -113,11 +118,34 @@ def _unfilter_rows(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     return out
 
 
-# Per filter type, the terms of the predictor (ka * a + kb * b) >> shift that
-# None, Sub, Up and Average rows use; Paeth rows use the Paeth predictor.
-# Blending per-row terms costs less than picking among five predicted
-# arrays with np.choose.
-_LINEAR_PREDICTORS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 0]], np.int16)
+# Predictor offsets by filter: each predictor is c plus an offset that depends
+# only on da = a - c and db = b - c, so one lookup in a table indexed by
+# (slab, da + 255, db + 255) predicts any row.  A row of filter type f >= 1
+# reads slab f - 1; None rows are rewritten as Sub rows first.
+_OFFSET_SIDE = 511
+
+
+@functools.cache
+def _offset_table() -> np.ndarray:
+    """The (4, 511, 511) uint8 table of predictor offsets mod 256, for Sub
+    (da), Up (db), Average ((da + db) >> 1) and Paeth (da, db or 0).  Built
+    on first use, 64 rows at a time so the temporaries stay small."""
+    diffs = np.arange(-255, 256, dtype=np.int16)
+    table = np.empty((4, _OFFSET_SIDE, _OFFSET_SIDE), np.uint8)
+    table[0] = diffs[:, None] & 0xFF
+    table[1] = diffs & 0xFF
+    db = diffs
+    for lo in range(0, _OFFSET_SIDE, 64):
+        da = diffs[lo:lo + 64, None]
+        total = da + db
+        table[2, lo:lo + 64] = (total >> 1) & 0xFF
+        # Paeth with p = a + b - c: |p - a| = |db|, |p - b| = |da|,
+        # |p - c| = |da + db|; ties go to a, then b
+        pa, pb, pc = np.abs(db), np.abs(da), np.abs(total)
+        paeth = np.where((pa <= pb) & (pa <= pc), da, np.where(pb <= pc, db, 0))
+        table[3, lo:lo + 64] = paeth & 0xFF
+    table.flags.writeable = False
+    return table
 
 
 def _unfilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
@@ -125,46 +153,59 @@ def _unfilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     # upper-left (y-1, x-1) neighbours, so each anti-diagonal y + x = d
     # depends only on the two before it: one vectorized step per diagonal
     # (the hyperplane method).  In the flat (h * w, ch) pixel list the
-    # diagonal is a strided slice.  Its decoded values go into one of three
-    # rotating (ch, h + 1) buffers, column y + 1 for pixel row y, after a
-    # column 0 that stands above the image.  Columns fill in increasing
-    # order, so a column no diagonal has reached yet still holds the zero
-    # that a pixel in column 0 has for its left and upper-left neighbours.
-    # Channels lead, so each operation runs along a diagonal.
+    # diagonal is a strided slice, decoded in place.  Its values also go
+    # into one of three rotating flat ((h + 1) * ch) buffers, slot y + 1 for
+    # pixel row y, after a slot 0 that stands above the image.  Slots fill
+    # in increasing order, so a slot no diagonal has reached yet still holds
+    # the zero that a pixel in column 0 has for its left and upper-left
+    # neighbours.  Channels trail, so a, b and c are contiguous slices.
     height, width, channels = filtered.shape
-    flat = filtered.reshape(-1, channels)
-    out = np.empty_like(flat)
+    image = filtered.copy()
+    none = ftypes == 0
+    if none.any():
+        # a None row decodes as a Sub row whose bytes are differenced one
+        # pixel to the left
+        rows = image[none]
+        image[none, 1:] = rows[:, 1:] - rows[:, :-1]
+    flat = image.reshape(-1, channels)
+    slabs = np.maximum(ftypes.astype(np.int32) - 1, 0)
+    base = np.repeat(slabs * _OFFSET_SIDE**2 + 255 * (_OFFSET_SIDE + 1), channels)
+    table = _offset_table().reshape(-1)
     step = max(width - 1, 1)
-    ka, kb, shift = _LINEAR_PREDICTORS[ftypes].T[:, None]
-    paeth_rows = (ftypes == 4)[None]
-    prev2, prev, cur = (np.zeros((channels, height + 1), np.int16) for _ in range(3))
+    prev2, prev, cur = (np.zeros((height + 1) * channels, np.int32) for _ in range(3))
+    index = np.empty(height * channels, np.int32)
     for d in range(height + width - 1):
         lo, hi = max(0, d - width + 1), min(height - 1, d)
         start = lo * width + d - lo
         diagonal = slice(start, start + (hi - lo) * step + 1, step)
-        rows = slice(lo, hi + 1)
-        a, b, c = prev[:, lo + 1:hi + 2], prev[:, rows], prev2[:, rows]
-        # Paeth: pa = |p - a|, pb = |p - b|, pc = |p - c| for p = a + b - c;
-        # ties go to a, then b
-        bc, ac = b - c, a - c
-        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(bc + ac)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        linear = (a * ka[:, rows] + b * kb[:, rows]) >> shift[:, rows]
-        decoded = cur[:, lo + 1:hi + 2]
-        np.add(flat[diagonal].T, np.where(paeth_rows[:, rows], paeth, linear), out=decoded)
-        decoded &= 0xFF
-        out[diagonal] = decoded.T
+        above = slice(lo * channels, (hi + 1) * channels)
+        here = slice(above.start + channels, above.stop + channels)
+        c = prev2[above]
+        # index = 511 (a - c) + (b - c) + the row's slab base
+        i = index[:above.stop - above.start]
+        np.subtract(prev[here], c, out=i)
+        i *= _OFFSET_SIDE
+        i += prev[above]
+        i -= c
+        i += base[above]
+        decoded = cur[here]
+        np.add(table.take(i), c, out=decoded)
+        pixels = decoded.reshape(-1, channels)
+        pixels += flat[diagonal]
+        pixels &= 0xFF
+        flat[diagonal] = pixels
         prev2, prev, cur = prev, cur, prev2
-    return out.reshape(height, width, channels)
+    return image
 
 
 def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
     """Undo the scanline filters of ``raw``: an (h, w, ch) uint8 array.
 
     Images with an Average (3) or Paeth (4) row decode as one wavefront
-    over the anti-diagonals; those with only None, Sub and Up rows keep a
+    over the anti-diagonals, one table lookup per diagonal, with None rows
+    rewritten as Sub rows; those with only None, Sub and Up rows keep a
     vectorized row loop, which on them is far faster (a 1024x1024 RGB image
-    of None rows: 0.8 ms against 107 ms for the wavefront).
+    of None rows: 0.5 ms against 27 ms for the wavefront, one thread).
     """
     stride = width * channels
     if len(raw) != height * (stride + 1):
@@ -243,7 +284,7 @@ def decode_png(blob: bytes) -> ImageBuffer:
     expected = height * (width * channels + 1)
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), expected + 1)
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as e:
         raise PngError(f"corrupt IDAT stream: {e}") from e
     if len(raw) > expected:
@@ -287,7 +328,7 @@ def _chunk(ctype: bytes, data: bytes) -> bytes:
         struct.pack(">I", len(data))
         + ctype
         + data
-        + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF)
+        + struct.pack(">I", zlib.crc32(data, zlib.crc32(ctype)))
     )
 
 
@@ -298,7 +339,7 @@ def encode_png(buf: ImageBuffer) -> bytes:
     rows = np.empty((h, w * 3 + 1), dtype=np.uint8)
     rows[:, 0] = 0
     rows[:, 1:] = buf.pixels.reshape(h, w * 3)
-    idat = zlib.compress(rows.tobytes(), 6)
+    idat = zlib.compress(rows, 6)
     return (
         _PNG_SIGNATURE
         + _chunk(b"IHDR", ihdr)

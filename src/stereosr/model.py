@@ -303,17 +303,17 @@ def _record_head(name: str, shape: tuple) -> bytes:
 def save_weights(store: WeightStore, path) -> None:
     """Write the store to ``path`` in the self-describing binary format."""
     cfg = store.config
-    out = bytearray(MAGIC)
-    out += _HEADER.pack(FORMAT_VERSION, cfg.n_blocks, cfg.width, cfg.scale, len(cfg.lska_branches))
-    for br in cfg.lska_branches:
-        out += _BRANCH.pack(br.base_k, br.dilated_k, br.dilation)
     flags = sum(bool(getattr(cfg, name)) << i for i, name in enumerate(_FLAG_FIELDS))
-    out += _TAIL.pack(cfg.sinkhorn_iters, flags, len(store))
-    for name, t in store.items():
-        out += _record_head(name, t.shape)
-        out += t.data.astype("<f4", copy=False).tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(MAGIC)
+        fh.write(_HEADER.pack(FORMAT_VERSION, cfg.n_blocks, cfg.width, cfg.scale,
+                              len(cfg.lska_branches)))
+        for br in cfg.lska_branches:
+            fh.write(_BRANCH.pack(br.base_k, br.dilated_k, br.dilation))
+        fh.write(_TAIL.pack(cfg.sinkhorn_iters, flags, len(store)))
+        for name, t in store.items():
+            fh.write(_record_head(name, t.shape))
+            fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
 
 
 def load_weights(path) -> WeightStore:

@@ -1,14 +1,18 @@
 """PNG codec edge cases, buffer/tensor conversion, bicubic downsampling."""
 
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stereosr
 from stereosr import images as im
 from stereosr.images import ImageBuffer, PngError
 from stereosr.tensor import ShapeError, Tensor
@@ -228,6 +232,21 @@ class TestUnfilterOracle:
             unfilter_oracle(raw, width, height, channels),
         )
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_none_rows_next_to_predicted_rows(self, width, channels):
+        # None rows decode as rewritten Sub rows: each sits directly above
+        # and below Paeth and Average rows, and two None rows are adjacent
+        ftypes = [0, 4, 0, 3, 0, 0, 4, 3, 0, 3, 0, 4, 0]
+        rng = np.random.default_rng(60 + 10 * width + channels)
+        rows = rng.integers(0, 256, size=(len(ftypes), 1 + width * channels), dtype=np.uint8)
+        rows[:, 0] = ftypes
+        raw = rows.tobytes()
+        np.testing.assert_array_equal(
+            im._unfilter(raw, width, len(ftypes), channels),
+            unfilter_oracle(raw, width, len(ftypes), channels),
+        )
+
     def test_paeth_tie_between_up_and_up_left_picks_up(self):
         # left 110, up 80, up-left 100: |left - upleft| = |left + up - 2 upleft| = 10
         rows = bytes([0, 100, 80, 4, 10, 0])
@@ -244,6 +263,65 @@ class TestUnfilterOracle:
         np.testing.assert_array_equal(
             im._unfilter(raw, width, 10, channels), unfilter_oracle(raw, width, 10, channels)
         )
+
+
+class TestOffsetTable:
+    def test_every_neighbour_triple_matches_the_predictors(self):
+        # all 256^3 (left a, up b, up-left c), one slice of c at a time:
+        # c plus the table's offset, mod 256, is each filter's prediction
+        table = im._offset_table()
+        a = np.arange(256, dtype=np.int32)[:, None]
+        b = np.arange(256, dtype=np.int32)[None, :]
+        expected = {0: np.broadcast_to(a, (256, 256)), 1: np.broadcast_to(b, (256, 256)),
+                    2: (a + b) // 2}
+        left, up = (np.broadcast_to(v, (256, 256)).astype(np.uint8) for v in (a, b))
+        for c in range(256):
+            expected[3] = _paeth_oracle(left, up, np.full((256, 256), c, np.uint8))
+            for slab, want in expected.items():
+                predicted = (c + table[slab, a - c + 255, b - c + 255].astype(np.int32)) & 0xFF
+                np.testing.assert_array_equal(predicted, want, err_msg=f"slab {slab}, c {c}")
+
+    def test_built_on_first_use_not_at_import(self):
+        script = ("import stereosr\n"
+                  "from stereosr import images\n"
+                  "print(images._offset_table.cache_info().currsize)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={
+                "PATH": "/usr/bin:/bin",
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": str(Path(stereosr.__file__).resolve().parent.parent),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_build_temporaries_stay_under_the_table_size(self):
+        tracemalloc.start()
+        try:
+            table = im._offset_table.__wrapped__()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
+
+    def test_wavefront_holds_no_whole_image_temporaries(self):
+        # a 1024x1024 RGB all-Paeth image: the call holds its output and
+        # per-diagonal buffers, not int32 arrays the size of the image
+        width = height = 1024
+        rows = np.random.default_rng(8).integers(0, 256, size=(height, 1 + 3 * width),
+                                                 dtype=np.uint8)
+        rows[:, 0] = 4
+        raw = rows.tobytes()
+        im._offset_table()  # built once per process, outside the measured call
+        tracemalloc.start()
+        try:
+            out = im._unfilter(raw, width, height, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes + (2 << 20)
 
 
 class TestPngValidation:

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -471,6 +472,22 @@ class TestSerialization:
         md.save_weights(md.init_model(ModelConfig(n_blocks=1, width=8), 5), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "fb39f328446d500e46c1f11a1b71af6e1dd0a11cee1805398705d7268d6853ca"
+
+    def test_default_config_is_written_without_a_copy_of_the_file(self, tmp_path):
+        # records go straight to the file, so saving the 4.27 MiB default
+        # store holds about one record's bytes, not the whole file
+        store = md.init_model(ModelConfig(), 5)
+        path = tmp_path / "weights.msin"
+        tracemalloc.start()
+        try:
+            md.save_weights(store, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blob = path.read_bytes()
+        assert len(blob) == 4_477_658
+        assert hashlib.sha256(blob).hexdigest().startswith("84a455cecdb70eac")
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("flags", [0xF0, 0x08], ids=["high_bits", "lowest_unknown_bit"])
     def test_unknown_flags_rejected(self, tmp_path, flags):
