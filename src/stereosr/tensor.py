@@ -299,7 +299,7 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
 # Convolution
 # ---------------------------------------------------------------------------
 
-# Byte budget of one block of stacked depthwise taps; see _conv_forward.
+# Byte budget of one block of stacked depthwise taps; see _tap_blocks.
 TAP_STACK_BYTES = 1 << 20
 
 
@@ -310,49 +310,25 @@ def _in_range(size: int, offset: int) -> tuple[int, int]:
     return lo, max(lo, min(size, size - offset))
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
-    """Cross-correlate ``x`` with ``w`` into a C-contiguous array.
+def _tap_blocks(src: np.ndarray, kernel, dilation, whole: bool):
+    """Yield (lo, hi, taps) for each block of channels lo:hi of ``src``,
+    taps of shape (n, hi - lo, T, h * w): row t holds the map shifted by
+    the offset of tap t of a kernel of spatial shape ``kernel``.
 
-    The network's 1x1 kernels go through conv1x1, so this serves the
-    kernels with taps.  It copies the taps from ``x``, which may be
-    strided, into a tap block of shape (n, channels, T, h, w) for T taps:
-    the part of each tap that reads the zero padding is zeroed once per
-    call, and each block of channels copies only the part that lies inside
-    ``x``.  A full kernel fills one block of all its input channels, whose
-    rows are ordered like a flattened kernel, and takes one product.  A
-    depthwise kernel takes its channels in blocks whose stacked taps,
-    n * T * h * w * itemsize bytes, fit in TAP_STACK_BYTES, with one
-    batched (1, T) x (T, h * w) product per image and channel, and one tap
-    block serves every channel block.
-    Untaped default-config forwards by budget and input size, each the
-    fastest of 3 calls in a fresh process, medians of 8 interleaved rounds
-    on one BLAS thread of a 2-core machine with 2 MiB of L2 per core.
-    Single rounds spread widely (1 MiB: 0.63-0.86 s at 32x96, 0.33-0.52 s
-    at 16x96):
-
-        budget      32x96    16x96
-        256 KiB     0.76 s   0.38 s
-        512 KiB     0.77 s   0.40 s
-        1 MiB       0.73 s   0.37 s
-        2 MiB       0.87 s   0.39 s
-        4 MiB       0.93 s   0.41 s
-        unblocked   0.97 s   0.46 s
+    One tap block of shape (n, channels, T, h, w) serves every block of a
+    call, so a caller uses each block's taps before asking for the next.
+    The part of each tap that reads the zero padding is zeroed once, and
+    each block copies only the part that lies inside ``src``, which may be
+    strided.  ``whole`` takes every channel in one block; otherwise each
+    block's stacked taps, n * T * h * w * itemsize bytes, fit in
+    TAP_STACK_BYTES, or the block is one channel.
     """
-    n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    if w.shape[1] == cin:
-        # one group of every input channel: a single (cout, cin * T) product
-        kernels, step = w.reshape(1, cout, -1), cin
-    else:
-        kernels = w.reshape(cin, 1, -1)
-        step = max(1, TAP_STACK_BYTES // (n * kh * kw * h * wd * x.itemsize))
+    n, c, h, wd = src.shape
+    kh, kw = kernel
+    step = c if whole else max(1, TAP_STACK_BYTES // (n * kh * kw * h * wd * src.itemsize))
     dh, dw = dilation
     ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
-    # the output before the tap block: in the other order the freed block
-    # leaves a heap hole under each output the tape keeps, and a training
-    # step peaked higher
-    out = np.empty((n, *kernels.shape[:2], h * wd), dtype=np.result_type(x, w))
-    block = np.empty((n, min(step, cin), kh * kw, h, wd), dtype=x.dtype)
+    block = np.empty((n, min(step, c), kh * kw, h, wd), dtype=src.dtype)
     copies = []
     for t in range(kh * kw):
         sy, sx = t // kw * dh - ph, t % kw * dw - pw
@@ -369,69 +345,91 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
         if r0 < r1 and c0 < c1:
             copies.append((block[:, :, t, r0:r1, c0:c1],
                            slice(r0 + sy, r1 + sy), slice(c0 + sx, c1 + sx)))
-    # a full kernel's one group spans the block, so its lo:hi slices are whole
-    stack = block.reshape(n, -1, kernels.shape[2], h * wd)
-    for lo in range(0, cin, step):
-        hi = min(lo + step, cin)
+    stack = block.reshape(n, -1, kh * kw, h * wd)
+    for lo in range(0, c, step):
+        hi = min(lo + step, c)
         for dst, rows, cols in copies:
-            dst[:, :hi - lo] = x[:, lo:hi, rows, cols]
-        np.matmul(kernels[lo:hi], stack[:, :hi - lo], out=out[:, lo:hi])
-    return out.reshape(n, cout, h, wd)
+            dst[:, :hi - lo] = src[:, lo:hi, rows, cols]
+        yield lo, hi, stack[:, :hi - lo]
 
 
-# Longest dot product in a depthwise weight gradient.  OpenBLAS splits a
-# float64 dot product of more than 10,000 entries across threads, which
-# changes its rounding with the thread count; fixed pieces keep each one on
-# one thread, so the sum is the same at any count.
+def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
+    """Cross-correlate ``x`` with ``w`` into a C-contiguous array.
+
+    The network's 1x1 kernels go through conv1x1, so this serves the
+    kernels with taps.  It takes the taps of ``x`` from _tap_blocks.  A
+    full kernel reads one block of all its input channels, whose rows are
+    ordered like a flattened kernel, and takes one product.  A depthwise
+    kernel takes one batched (1, T) x (T, h * w) product per image and
+    channel of each block.
+    Untaped default-config forwards by TAP_STACK_BYTES and input size, each
+    the fastest of 3 calls in a fresh process, medians of 8 interleaved
+    rounds on one BLAS thread of a 2-core machine with 2 MiB of L2 per
+    core.  Single rounds spread widely (1 MiB: 0.63-0.86 s at 32x96,
+    0.33-0.52 s at 16x96):
+
+        budget      32x96    16x96
+        256 KiB     0.76 s   0.38 s
+        512 KiB     0.77 s   0.40 s
+        1 MiB       0.73 s   0.37 s
+        2 MiB       0.87 s   0.39 s
+        4 MiB       0.93 s   0.41 s
+        unblocked   0.97 s   0.46 s
+    """
+    n, cin, h, wd = x.shape
+    full = w.shape[1] == cin
+    # a full kernel as one group of (cout, cin * T) rows, a depthwise one as
+    # one (1, T) row per channel
+    kernels = w.reshape((1, len(w), -1) if full else (len(w), 1, -1))
+    # the output before the tap block: in the other order the freed block
+    # leaves a heap hole under each output the tape keeps, and a training
+    # step peaked higher
+    out = np.empty((n, *kernels.shape[:2], h * wd), dtype=np.result_type(x, w))
+    for lo, hi, taps in _tap_blocks(x, w.shape[2:], dilation, full):
+        # a full kernel's one group spans the block, so its lo:hi slices are whole
+        np.matmul(kernels[lo:hi], taps.reshape(n, -1, kernels.shape[2], h * wd), out=out[:, lo:hi])
+    return out.reshape(n, -1, h, wd)
+
+
+# Most pixels one product of a weight gradient reads.  OpenBLAS splits a
+# long float64 product across threads, which changes its rounding with the
+# thread count (a 1-tap kernel's over a whole 128x128 map does); fixed
+# pieces keep each on one thread, so the sum is the same at any count.
 DOT_PIECE = 8192
 
 
-def _conv_grad_w(x: np.ndarray, gout: np.ndarray, shape, dilation) -> np.ndarray:
-    """The kernel's cotangent from the unpadded maps.  Tap (sy, sx) pairs
-    output site k with input site k + sy * w + sx of the flat maps, so over
-    the span of its in-range sites it is one slice of each, once the
-    cotangent's columns where that shift wraps across a row are zero."""
-    n, c, h, w = gout.shape
-    kh, kw = shape[2:]
-    dh, dw = dilation
-    ph, pw = (kh - 1) * dh // 2, (kw - 1) * dw // 2
-    xs, g = x.reshape(n, x.shape[1], h * w), gout.reshape(n, c, h * w)
-    grad = np.zeros((*shape[:2], kh * kw), dtype=np.result_type(x, gout))
-    zeroed = {}
-    for t in sorted(range(kh * kw), key=lambda t: abs(t % kw * dw - pw)):
-        sy, sx = t // kw * dh - ph, t % kw * dw - pw
-        (r0, r1), (c0, c1) = _in_range(h, sy), _in_range(w, sx)
-        if r0 == r1 or c0 == c1:
-            continue
-        gt = g
-        if sx:
-            # one copy per sign of sx, zeroed further as |sx| grows; never
-            # in place, since a backward rule may hand one array to several
-            # inputs
-            gt = zeroed.get(sx > 0)
-            if gt is None:
-                gt = zeroed[sx > 0] = g.copy()
-            cut = gt.reshape(n, c, h, w)
-            cut[..., :c0] = cut[..., c1:] = 0
-        lo, hi, shift = r0 * w + c0, (r1 - 1) * w + c1, sy * w + sx
-        tap, gt = xs[..., lo + shift:hi + shift], gt[..., lo:hi]
-        if shape[1] == x.shape[1]:
-            grad[..., t] = np.tensordot(gt, tap, axes=([0, 2], [0, 2]))
-            continue
-        # depthwise: one dot product per (n, c), which reads the tap in
-        # place; a stacked batched product, as in the forward, was slower.
-        # Each runs in pieces of at most DOT_PIECE entries, summed in order
-        dots = [np.matmul(tap[:, :, None, p:p + DOT_PIECE], gt[:, :, p:p + DOT_PIECE, None])
-                for p in range(0, hi - lo, DOT_PIECE)]
-        grad[:, 0, t] = sum(dots[1:], dots[0]).sum(axis=(0, 2, 3))
-    return grad.reshape(shape)
+def _conv_backward(x: np.ndarray, g: np.ndarray, w: np.ndarray, dilation):
+    """The input and kernel cotangents (dx, dW) of _conv_forward(x, w,
+    dilation) for the output cotangent ``g``, both from the tap blocks of g.
 
-
-def _conv_grad_x(gout: np.ndarray, w: np.ndarray, dilation, depthwise: bool) -> np.ndarray:
-    # Cross-correlate the output gradient with the spatially flipped kernel,
-    # in/out channel roles swapped (a depthwise kernel keeps its layout).
-    wt = w if depthwise else w.swapaxes(0, 1)
-    return _conv_forward(gout, np.ascontiguousarray(wt[..., ::-1, ::-1]), dilation)
+    Row t of a block holds g shifted by minus the offset of kernel tap
+    T - 1 - t, which is the tap the spatially flipped kernel reads at t.
+    So dx is the flipped kernel's cross-correlation of g, in and out
+    channels swapped for a full kernel, and tap T - 1 - t of dW is row t
+    against x, taken from each block before the next overwrites it.  A
+    full kernel's block of (cout * T, h * w) rows times x^T gives
+    dW[co, ci, T - 1 - t]; a depthwise kernel takes one batched
+    (T, h * w) x (h * w, 1) product per image and channel.  Both run in
+    pieces of at most DOT_PIECE pixels, summed in order.
+    """
+    n, cin, h, wd = x.shape
+    full = w.shape[1] == cin
+    flipped = np.ascontiguousarray((w.swapaxes(0, 1) if full else w)[..., ::-1, ::-1])
+    kernels = flipped.reshape((1, cin, -1) if full else (cin, 1, -1))
+    xs = x.reshape(n, cin, h * wd)
+    dx = np.empty((n, *kernels.shape[:2], h * wd), dtype=np.result_type(g, w))
+    dw = []
+    for lo, hi, taps in _tap_blocks(g, w.shape[2:], dilation, full):
+        rows = taps.reshape(n, -1, kernels.shape[2], h * wd)
+        np.matmul(kernels[lo:hi], rows, out=dx[:, lo:hi])
+        # x^T: every channel for a full kernel, the block's for a depthwise one
+        xt = xs[:, None].swapaxes(2, 3) if full else xs[:, lo:hi, :, None]
+        pieces = [np.matmul(rows[..., p:p + DOT_PIECE], xt[:, :, p:p + DOT_PIECE])
+                  for p in range(0, h * wd, DOT_PIECE)]
+        dw.append(sum(pieces[1:], pieces[0]).sum(axis=0))
+    # (cout, T, in_ch) with the taps in the flipped kernel's order
+    dw = np.concatenate(dw).reshape(len(w), -1, w.shape[1])
+    return dx.reshape(x.shape), dw.swapaxes(1, 2)[..., ::-1].reshape(w.shape)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
@@ -472,8 +470,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     out = Tensor(np.add(o, bias.data, out=o if own else None))
 
     def bwd(g):
-        dx = _conv_grad_x(g, weights.data, dilation, depthwise)
-        dw = _conv_grad_w(x.data, g, weights.shape, dilation)
+        dx, dw = _conv_backward(x.data, g, weights.data, dilation)
         db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 

@@ -225,14 +225,24 @@ class TestConv2d:
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
         products = []
         matmul = np.matmul
+
+        def counted(*a, **k):
+            products.append(1)
+            return matmul(*a, **k)
+
         with GradTape() as tape:
             with monkeypatch.context() as m:
-                m.setattr(np, "matmul", lambda *a, **k: products.append(1) or matmul(*a, **k))
+                m.setattr(np, "matmul", counted)
                 out = tz.conv2d(*inputs, dilation)
             loss = tz.sum_all(tz.mul(out, Tensor(g)))
-        got = tape.gradients(loss, inputs)
-        # one product per block of channels: 3+1 is two, 1+1+1+1 four
-        assert len(products) == (-(-ORACLE_CHANNELS // blocks) if blocks else 1)
+        forward = len(products)
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", counted)
+            got = tape.gradients(loss, inputs)
+        # one product per block of channels: 3+1 is two, 1+1+1+1 four; the
+        # backward takes dx and dW from each block of the cotangent's taps
+        n_blocks = -(-ORACLE_CHANNELS // blocks) if blocks else 1
+        assert (forward, len(products) - forward) == (n_blocks, 2 * n_blocks)
         assert out.data.flags.c_contiguous and got[0].flags.c_contiguous
         x64, w64 = x.astype(np.float64), w.astype(np.float64)
         want = conv2d_oracle(x64, w64, b.astype(np.float64), dilation)
