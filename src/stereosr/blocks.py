@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, add, conv1x1, conv2d, global_avg_pool, mul, normalize, simple_gate
+from .tensor import Tensor, add, conv1x1, conv2d, global_avg_pool, mul, simple_gate
 
 DEFAULT_LSKA_BRANCHES = (
     # small / medium / large effective fields: 7, 23, 35
@@ -79,10 +79,9 @@ def apply_conv1x1(x: Tensor, p, name: str, norm: str = "", scale: str = "") -> T
     """conv1x1 with the kernel and bias that ``p`` holds under ``name``, after
     the layer norm it holds under ``norm``, or scaled by ``p[scale]``, or
     neither."""
-    w, b = p[f"{name}.weight"], p[f"{name}.bias"]
-    if norm:
-        return conv1x1(normalize(x), w, b, p[f"{norm}.gain"], p[f"{norm}.shift"])
-    return conv1x1(x, w, b, scale=p[scale] if scale else None)
+    return conv1x1(x, p[f"{name}.weight"], p[f"{name}.bias"],
+                   (p[f"{norm}.gain"], p[f"{norm}.shift"]) if norm else None,
+                   p[scale] if scale else None)
 
 
 def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -478,21 +478,29 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     return out
 
 
-def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, gain: Tensor | None = None,
-            shift: Tensor | None = None, scale: Tensor | None = None) -> Tensor:
-    """r * (W (g * x + s) + b) for an (out_ch, in_ch, 1, 1) kernel W and a
-    (1, out_ch, 1, 1) bias b, with an optional per-input-channel gain g and
-    shift s and per-output-channel scale r; an absent factor is the identity.
+# Added to each site's channel variance before the layer norm's square root.
+LN_EPS = 1e-6
+
+
+def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, norm: tuple[Tensor, Tensor] | None = None,
+            scale: Tensor | None = None) -> Tensor:
+    """r * (W (g * x̂ + s) + b) for an (out_ch, in_ch, 1, 1) kernel W and a
+    (1, out_ch, 1, 1) bias b.  ``norm`` is a layer norm's per-input-channel
+    gain and shift (g, s): x̂ is each (n, h, w) site's channel vector at zero
+    mean and unit variance, (x - mean) / sqrt(var + LN_EPS).  Without it x̂
+    is x, with no gain or shift.  ``scale`` is a per-output-channel r, or 1.
 
     No factor acts on a map.  The forward folds them into the kernel and the
     bias, W' = diag(r) W diag(g) and b' = r * (W s + b), and takes the one
-    product W' x + b'.  The backward takes dx, dW' and db' from that product
-    and the rest by the chain rule on the weights alone, rebuilding the
-    folded weights, so the record holds no array but x and the operands.
+    product W' x̂ + b'.  The backward takes dx̂, dW' and db' from that
+    product, the layer norm's rule from dx̂ to dx, and the rest by the chain
+    rule on the weights alone, rebuilding the folded weights, so the record
+    holds no array but x̂, the norm's inverse deviations and the operands.
     W s is an elementwise product summed over in_ch, not a BLAS call.
     """
     n, cin, h, wd = x.shape
     cout = weights.shape[0]
+    gain, shift = (None, None) if norm is None else norm
     # the record's inputs, in the order of the backward's cotangents
     inputs = tuple(t for t in (x, weights, bias, scale, gain, shift) if t is not None)
     for t, shape in ((weights, (cout, cin, 1, 1)), (bias, (1, cout, 1, 1)), (gain, (1, cin, 1, 1)),
@@ -511,8 +519,14 @@ def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, gain: Tensor | None = None
             return gained, unscaled, gained, unscaled
         return gained, unscaled, gained * r[:, None], unscaled * r
 
+    # bound either way: the backward reads both
+    xhat, inv = x.data, None
+    if norm is not None:
+        xhat = x.data - x.data.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + x.dtype.type(LN_EPS))
+        xhat *= inv
     _, _, folded, shifted = fold()
-    xs = x.data.reshape(n, cin, h * wd)
+    xs = xhat.reshape(n, cin, h * wd)
     o = np.matmul(folded, xs)
     own = o.dtype == np.result_type(o, shifted)
     out = Tensor(np.add(o, shifted[:, None], out=o if own else None).reshape(n, cout, h, wd))
@@ -523,17 +537,21 @@ def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, gain: Tensor | None = None
         gained, unscaled, folded, _ = fold()
         dw = np.tensordot(gs, xs, axes=([0, 2], [0, 2]))
         db = gs.sum(axis=(0, 2))
-        grads = [np.matmul(folded.T, gs), dw, db]
+        dx = dxhat = np.matmul(folded.T, gs).reshape(xhat.shape)
+        if inv is not None:
+            # the layer norm's rule, from dx̂ to dx
+            dx = dxhat - dxhat.mean(axis=1, keepdims=True)
+            dx -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            dx *= inv
+        grads = [dx, dw, db]
         # from the cotangents of W' and b' back through each fold, last first
         if r is not None:
             grads.append((dw * gained).sum(axis=1) + db * unscaled)
             dw *= r[:, None]
             db *= r
         if g is not None:
-            grads.append((dw * w).sum(axis=0))
+            grads += [(dw * w).sum(axis=0), (w * db[:, None]).sum(axis=0)]
             dw *= g
-        if s is not None:
-            grads.append((w * db[:, None]).sum(axis=0))
             dw += db[:, None] * s
         return tuple(d.reshape(shape) for d, shape in zip(grads, shapes))
 
@@ -542,27 +560,8 @@ def conv1x1(x: Tensor, weights: Tensor, bias: Tensor, gain: Tensor | None = None
 
 
 # ---------------------------------------------------------------------------
-# Normalization, gating, pooling, rearrangement
+# Gating, pooling, rearrangement
 # ---------------------------------------------------------------------------
-
-def normalize(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Layer normalization without its gain and shift, which fold into the
-    1x1 kernel after it (see conv1x1): each (n, h, w) site's channel vector
-    to zero mean and unit variance, (x - mean) / sqrt(var + eps)."""
-    xhat = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + x.dtype.type(eps))
-    xhat *= inv
-    out = Tensor(xhat)
-
-    def bwd(g):
-        dx = g - g.mean(axis=1, keepdims=True)
-        dx -= xhat * (g * xhat).mean(axis=1, keepdims=True)
-        dx *= inv
-        return (dx,)
-
-    _record("normalize", (x,), out, bwd)
-    return out
-
 
 def simple_gate(x: Tensor) -> Tensor:
     """Split channels in half and multiply the halves elementwise."""

@@ -112,9 +112,8 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
     # drawn after every other row's operands, so those stay as they were
     w, bia, scale = _rand(rng, (6, 4, 1, 1)), _rand(rng, (1, 6, 1, 1)), _rand(rng, (1, 6, 1, 1))
     checks += [
-        ("normalize", [x, y], lambda p: tz.mean_all(tz.mul(tz.normalize(p[0]), p[1]))),
-        ("conv1x1_gain_shift_scale", [x, w, bia, gain, shift, scale], lambda p: squared(tz.conv1x1(*p))),
-        ("conv1x1_gain_shift", [x, w, bia, gain, shift], lambda p: squared(tz.conv1x1(*p))),
+        ("conv1x1_norm_scale", [x, w, bia, gain, shift, scale], lambda p: squared(tz.conv1x1(*p[:3], p[3:5], p[5]))),
+        ("conv1x1_norm", [x, w, bia, gain, shift], lambda p: squared(tz.conv1x1(*p[:3], p[3:5]))),
         ("conv1x1_scale", [x, w, bia, scale], lambda p: squared(tz.conv1x1(*p[:3], scale=p[3]))),
     ]
 

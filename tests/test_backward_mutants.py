@@ -1,12 +1,14 @@
 """Broken backward rules must fail a check, and a failing check must not hide
 the rest of the session.
 
-Each mutant scales one cotangent of a recorded backward rule by 0.99 in a
-child pytest session, which must then report a failure.  Children see only
-PATH, one BLAS thread and the directory that holds the stereosr package
-this process imported, and write no bytecode and no cache.
+Each mutant scales one cotangent of a recorded backward rule by 0.99 and
+runs the checks that must kill it, which must then report a failure.  All
+mutants run in turn in one child process, which sees only PATH, one BLAS
+thread and the directory that holds the stereosr package this process
+imported, and writes no bytecode and no cache.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,28 +19,64 @@ import stereosr
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the checks that must kill a broken conv2d backward: its oracle tests and
 # the whole network's float64 gradient against the reference
+REFERENCE = ("tests/test_reference.py::test_gradient_matches_the_reference",)
+# the checks that must kill a broken conv2d or conv1x1 backward: the
+# primitive's oracle tests and the reference
 CONV2D_CHECKS = (
     "tests/test_tensor.py::TestConv2d::test_all_paths_match_oracle",
     "tests/test_tensor.py::TestConv2d::test_grad_w_matches_frame_oracle",
-    "tests/test_reference.py::test_gradient_matches_the_reference",
+    *REFERENCE,
 )
+CONV1X1_CHECKS = ("tests/test_tensor.py::TestConv1x1::test_matches_the_unfolded_composition",
+                  *REFERENCE)
 
-# argv: rule name, index of the cotangent to scale, then pytest's arguments
+# name: (rule, index of the cotangent to scale, the input counts of the
+# records it scales, or None for every record of the rule, the checks).  A
+# conv1x1 record's inputs are x, W, b, the scale if given, then the norm's
+# gain and shift if given; a sinkhorn record of the scaling form has one
+# input, the scores, and the log-domain fallback's have two or three
+MUTANTS = {
+    "conv2d-dx": ("conv2d", 0, None, CONV2D_CHECKS),
+    "conv2d-dW": ("conv2d", 1, None, CONV2D_CHECKS),
+    "conv2d-db": ("conv2d", 2, None, CONV2D_CHECKS),
+    "conv1x1-dx": ("conv1x1", 0, None, CONV1X1_CHECKS),
+    "conv1x1-dW": ("conv1x1", 1, None, CONV1X1_CHECKS),
+    "conv1x1-db": ("conv1x1", 2, None, CONV1X1_CHECKS),
+    "conv1x1-dscale": ("conv1x1", 3, (4, 6), CONV1X1_CHECKS),
+    "conv1x1-dgain": ("conv1x1", -2, (5, 6), CONV1X1_CHECKS),
+    "conv1x1-dshift": ("conv1x1", -1, (5, 6), CONV1X1_CHECKS),
+    "simple_gate-dx": ("simple_gate", 0, None, REFERENCE),
+    "sinkhorn-dscores": ("sinkhorn", 0, (1,), REFERENCE),
+}
+
+# argv: the mutants as JSON.  transport imports _record by name, so both
+# bindings are patched.  A failing hypothesis draw is reported unshrunk:
+# one failure is all a mutant needs
 MUTANT = (
-    "import sys\n"
+    "import json, sys\n"
     "import pytest\n"
-    "from stereosr import tensor as tz\n"
-    "rule, index, record = sys.argv[1], int(sys.argv[2]), tz._record\n"
-    "def mutant(name, inputs, output, backward_fn):\n"
-    "    def scaled(g):\n"
-    "        grads = list(backward_fn(g))\n"
-    "        grads[index] = grads[index] * 0.99\n"
-    "        return tuple(grads)\n"
-    "    record(name, inputs, output, scaled if name == rule else backward_fn)\n"
-    "tz._record = mutant\n"
-    "sys.exit(pytest.main(sys.argv[3:]))\n"
+    "from stereosr import tensor as tz, transport as ot\n"
+    "class Unshrunk:\n"
+    "    @staticmethod\n"
+    "    def pytest_configure(config):\n"
+    "        from hypothesis import Phase, settings\n"
+    "        settings.register_profile('unshrunk', phases=(Phase.explicit, Phase.reuse,"
+    " Phase.generate))\n"
+    "        settings.load_profile('unshrunk')\n"
+    "record = tz._record\n"
+    "for label, (rule, index, counts, checks) in json.loads(sys.argv[1]).items():\n"
+    "    def mutant(name, inputs, output, backward_fn, rule=rule, index=index, counts=counts):\n"
+    "        def scaled(g):\n"
+    "            grads = list(backward_fn(g))\n"
+    "            grads[index] = grads[index] * 0.99\n"
+    "            return tuple(grads)\n"
+    "        hit = name == rule and (counts is None or len(inputs) in counts)\n"
+    "        record(name, inputs, output, scaled if hit else backward_fn)\n"
+    "    tz._record = ot._record = mutant\n"
+    "    print(f'MUTANT {label}', flush=True)\n"
+    "    code = pytest.main(['-q', '-x', '-p', 'no:cacheprovider', *checks], plugins=[Unshrunk])\n"
+    "    print(f'EXIT {int(code)}', flush=True)\n"
 )
 
 
@@ -55,13 +93,27 @@ def _pytest(cwd: Path, *argv: str) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("index", [0, 1, 2], ids=["dx", "dW", "db"])
-def test_scaled_conv2d_cotangent_fails_a_check(index):
-    code, out = _pytest(ROOT, MUTANT, "conv2d", str(index), "-q", "-x", "-p", "no:cacheprovider",
-                        *CONV2D_CHECKS)
+@pytest.fixture(scope="module")
+def mutant_runs() -> str:
+    return _pytest(ROOT, MUTANT, json.dumps(MUTANTS))[1]
+
+
+def _assert_killed(out: str, name: str):
+    # the mutant's part of the child's output, from its MUTANT line on
+    part = out.partition(f"MUTANT {name}\n")[2].partition("MUTANT ")[0]
     # exit code 1 is "some tests failed"; an error in collection or in
     # pytest itself exits otherwise
-    assert code == 1 and " failed" in out, out[-2000:]
+    assert "\nEXIT 1\n" in part and " failed" in part, out[-2000:]
+
+
+@pytest.mark.parametrize("index", ["dx", "dW", "db"])
+def test_scaled_conv2d_cotangent_fails_a_check(mutant_runs, index):
+    _assert_killed(mutant_runs, f"conv2d-{index}")
+
+
+@pytest.mark.parametrize("name", [name for name in MUTANTS if not name.startswith("conv2d")])
+def test_scaled_cotangent_fails_a_check(mutant_runs, name):
+    _assert_killed(mutant_runs, name)
 
 
 def test_failing_hypothesis_test_leaves_later_tests_running(tmp_path):

@@ -133,7 +133,7 @@ class TestMscabBlocks:
         with GradTape() as tape:
             bk.mscab_forward(x, p, branches)
         assert Counter(rec.name for rec in tape._records) == {
-            "normalize": 2, "conv1x1": 6, "conv2d": 13, "simple_gate": 2, "add": 4, "mul": 2,
+            "conv1x1": 6, "conv2d": 13, "simple_gate": 2, "add": 4, "mul": 2,
             "global_avg_pool": 1}
 
     def test_mscam_gradcheck_all_params(self):

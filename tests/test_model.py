@@ -323,14 +323,14 @@ class TestForward:
             "digest.update(out.data.tobytes())\n"
             "for d in tape.gradients(loss, [x, w]):\n"
             "    digest.update(d.tobytes())\n"
-            # the fused 1x1 convolution in float64 with every factor: its
-            # products contract 48 channels or 4,096 sites, and the weights
-            # fold and unfold by plain reductions
+            # the fused 1x1 convolution in float64 with a norm and a scale:
+            # its products contract 48 channels or 4,096 sites, and the norm
+            # and the weights' folds are plain reductions
             "ops = [Tensor(rng.normal(size=s)) for s in ((1,48,64,64), (48,48,1,1), (1,48,1,1),"
             " (1,48,1,1), (1,48,1,1), (1,48,1,1))]\n"
             "g = Tensor(rng.normal(size=(1,48,64,64)))\n"
             "with tz.GradTape() as tape:\n"
-            "    out = tz.conv1x1(*ops)\n"
+            "    out = tz.conv1x1(*ops[:3], ops[3:5], ops[5])\n"
             "    loss = tz.sum_all(tz.mul(out, g))\n"
             "digest.update(out.data.tobytes())\n"
             "for d in tape.gradients(loss, ops):\n"

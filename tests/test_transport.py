@@ -187,7 +187,7 @@ class TestFusedSinkhorn:
         names = Counter(rec.name for rec in stage)
         # the norms' gains and shifts and the fusion scales act on the four
         # 1x1 kernels, so no record multiplies a map by a parameter
-        assert names == {"normalize": 2, "conv1x1": 4, "cost_matrix": 1, "sinkhorn": 1,
+        assert names == {"conv1x1": 4, "cost_matrix": 1, "sinkhorn": 1,
                          "carry": 2, "add": 2}
         # a record keeps no tensor, so read each output's shape off the
         # cotangent that its backward receives
