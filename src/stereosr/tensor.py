@@ -353,20 +353,101 @@ def _tap_blocks(src: np.ndarray, kernel, dilation, whole: bool):
         yield lo, hi, stack[:, :hi - lo]
 
 
+# Most outputs one row of a banded product yields; see _band_segments.
+BAND_SEGMENT = 16
+
+
+def _band_segments(size: int) -> tuple[int, int]:
+    """(count, length) of the segments that cover an axis of ``size``
+    outputs: equal lengths of at most BAND_SEGMENT, which divide ``size``
+    when up to twice the fewest segments allow it, and otherwise overrun
+    its end by less than one per segment."""
+    fewest = -(-size // BAND_SEGMENT)
+    for count in range(fewest, 2 * fewest):
+        if size % count == 0:
+            return count, size // count
+    return fewest, -(-size // fewest)
+
+
+def _band_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
+    """Cross-correlate ``x`` with a depthwise ``w`` of one spatial extent 1
+    into a C-contiguous array, as banded matrix products.
+
+    The kernel's axis is cut into segments by _band_segments.  Output j of
+    a segment reads entries j + t * d of its window of seg + 2p entries of
+    ``x``, zero-padded by p on that axis only, so each channel's window
+    times a (seg + 2p, seg) band with band[j + t * d, j] = w[t] gives the
+    segment: along a row for a 1 x k kernel, down a column for a k x 1 one.
+    The windows of every image, channel and segment are one strided view of
+    the padded frame, and one batched product writes into the output.  The
+    band's zero entries multiply real map values, so a NaN or an infinity
+    in the input reaches every output of the segments whose windows hold
+    it, not only the outputs within the kernel's reach.
+    """
+    n, c, h, wd = x.shape
+    vertical = w.shape[3] == 1
+    size, d = (h, dilation[0]) if vertical else (wd, dilation[1])
+    taps = w.reshape(c, -1)
+    p = (taps.shape[1] - 1) * d // 2
+    count, seg = _band_segments(size)
+    span, length = seg + 2 * p, count * seg
+    dtype = np.result_type(x, w)
+    # the output before the band and the frame, as _conv_forward allocates
+    # its output before the tap block
+    out = np.empty((n, c, length, wd) if vertical else (n, c, h, length), dtype=dtype)
+    # a k x 1 kernel's band is the transpose, (seg, span), and multiplies
+    # its windows from the left
+    band = np.zeros((c, seg, span) if vertical else (c, span, seg), dtype=dtype)
+    # the strided views are ndarrays over a buffer: unlike as_strided, that
+    # checks the strides against the buffer's size, and it takes about 1 µs
+    # a view against as_strided's 6
+    # diagonal t of each band, t * d entries down its span axis, holds tap t
+    per_channel, row, col = band.strides
+    np.ndarray((c, taps.shape[1], seg), dtype, band, 0,
+               (per_channel, d * (col if vertical else row), row + col))[...] = taps[:, :, None]
+    frame = np.empty((n, c, length + 2 * p, wd) if vertical else (n, c, h, length + 2 * p),
+                     dtype=dtype)
+    # frame[(..., s) + tail] indexes the kernel's axis
+    tail = (slice(None),) if vertical else ()
+    frame[(..., slice(0, p)) + tail] = 0
+    frame[(..., slice(p + size, None)) + tail] = 0
+    frame[(..., slice(p, p + size)) + tail] = x
+    # each window's rows are contiguous and start at least a row apart, so
+    # BLAS takes every window and every output segment as it stands
+    s0, s1, s2, s3 = frame.strides
+    if vertical:
+        # (span, wd) windows, seg rows apart
+        windows = np.ndarray((n, c, count, span, wd), dtype, frame, 0, (s0, s1, seg * s2, s2, s3))
+        np.matmul(band[:, None], windows, out=out.reshape(n, c, count, seg, wd))
+    else:
+        # (h, span) windows, seg columns apart
+        windows = np.ndarray((n, c, count, h, span), dtype, frame, 0, (s0, s1, seg * s3, s2, s3))
+        np.matmul(windows, band[:, None], out=out.reshape(n, c, h, count, seg).swapaxes(2, 3))
+    if length != size:
+        out = np.ascontiguousarray(out[(..., slice(0, size)) + tail])
+    return out
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     """Cross-correlate ``x`` with ``w`` into a C-contiguous array.
 
     The network's 1x1 kernels go through conv1x1, so this serves the
-    kernels with taps.  It takes the taps of ``x`` from _tap_blocks.  A
-    full kernel reads one block of all its input channels, whose rows are
-    ordered like a flattened kernel, and takes one product.  A depthwise
-    kernel takes one batched (1, T) x (T, h * w) product per image and
-    channel of each block.
+    kernels with taps.  A depthwise kernel with one spatial extent of 1 (12
+    of a block's 13 depthwise kernels with the default branches) goes to
+    _band_forward.  Every other kernel takes the taps of ``x`` from
+    _tap_blocks.  A full kernel reads one block of all its input channels,
+    whose rows are ordered like a flattened kernel, and takes one product.
+    A depthwise kernel (the block's 3x3 dwconv) takes one batched
+    (1, T) x (T, h * w) product per image and channel of each block.
+
     Untaped default-config forwards by TAP_STACK_BYTES and input size, each
     the fastest of 3 calls in a fresh process, medians of 8 interleaved
     rounds on one BLAS thread of a 2-core machine with 2 MiB of L2 per
     core.  Single rounds spread widely (1 MiB: 0.63-0.86 s at 32x96,
-    0.33-0.52 s at 16x96):
+    0.33-0.52 s at 16x96).  Every depthwise kernel took tap blocks then;
+    the budget now governs only the 3x3 depthwise forward and the
+    depthwise backward, since a full kernel takes all its channels in one
+    block:
 
         budget      32x96    16x96
         256 KiB     0.76 s   0.38 s
@@ -375,9 +456,24 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
         2 MiB       0.87 s   0.39 s
         4 MiB       0.93 s   0.41 s
         unblocked   0.97 s   0.46 s
+
+    The forwards of the default branches' 10 distinct 1-D kernels, summed,
+    by BAND_SEGMENT, in ms, at batch 1: each kernel the fastest of 5 runs
+    of 5 calls, the sums the least of 6 interleaved rounds, on one BLAS
+    thread of the same machine; "taps" takes the same kernels through
+    _tap_blocks at 1 MiB.  16 is the fastest or within 2% of it at each:
+
+        channels, map   8      12     16     24     32     taps
+        48, 32x96       1.50   1.28   1.30   1.57   1.55   2.29
+        48, 16x96       0.84   0.69   0.70   0.89   0.76   1.19
+        16, 24x72       0.37   0.33   0.33   0.41   0.41   0.67
+        16, 93x310      6.32   5.29   5.37   6.81   5.46   7.64
+        16, 32x1024     6.07   6.12   5.22   5.28   6.57   8.06
     """
     n, cin, h, wd = x.shape
     full = w.shape[1] == cin
+    if not full and 1 in w.shape[2:]:
+        return _band_forward(x, w, dilation)
     # a full kernel as one group of (cout, cin * T) rows, a depthwise one as
     # one (1, T) row per channel
     kernels = w.reshape((1, len(w), -1) if full else (len(w), 1, -1))

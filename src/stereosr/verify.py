@@ -117,8 +117,13 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         ("conv1x1_scale", [x, w, bia, scale], lambda p: squared(tz.conv1x1(*p[:3], scale=p[3]))),
     ]
 
+    # the layer norm's curvature puts the central difference's O(step^2)
+    # truncation at about 4e-5 at grad_check's default step of 1e-3, and at
+    # about 4e-7 at a step of 1e-4, which its rows take
+    fine = {"eps": 1e-4}
     return [
-        CheckResult(name, grad_check(f, params), PRIMITIVE_TOLERANCE)
+        CheckResult(name, grad_check(f, params, **(fine if name.startswith("conv1x1_norm") else {})),
+                    PRIMITIVE_TOLERANCE)
         for name, params, f in checks
     ]
 

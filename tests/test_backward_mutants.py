@@ -48,6 +48,10 @@ MUTANTS = {
     "conv1x1-dshift": ("conv1x1", -1, (5, 6), CONV1X1_CHECKS),
     "simple_gate-dx": ("simple_gate", 0, None, REFERENCE),
     "sinkhorn-dscores": ("sinkhorn", 0, (1,), REFERENCE),
+    "cost_matrix-du_l": ("cost_matrix", 0, None, REFERENCE),
+    "cost_matrix-du_r": ("cost_matrix", 1, None, REFERENCE),
+    "carry-dplan": ("carry", 0, None, REFERENCE),
+    "carry-dvalues": ("carry", 1, None, REFERENCE),
 }
 
 # argv: the mutants as JSON.  transport imports _record by name, so both

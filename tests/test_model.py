@@ -291,13 +291,16 @@ class TestForward:
             "digest = hashlib.sha256(out.left.data.tobytes()+out.right.data.tobytes()"
             "+plan.data.tobytes()+grad.tobytes())\n"
             # a 256x256 map holds about 66k elements, long enough for BLAS
-            # to split a dot product across threads
+            # to split a dot product across threads; the 1x11 kernel's
+            # forward is one batched matrix-matrix product
             "x = Tensor(rng.normal(size=(1,8,256,256)).astype(np.float32))\n"
             "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3)), ((8,8,3,3),(1,1))):\n"
             "    w = Tensor(rng.normal(size=shape).astype(np.float32))\n"
             "    g = Tensor(rng.normal(size=x.shape).astype(np.float32))\n"
             "    with tz.GradTape() as tape:\n"
-            "        loss = tz.sum_all(tz.mul(tz.conv2d(x, w, tz.zeros((1,8,1,1)), dilation), g))\n"
+            "        out = tz.conv2d(x, w, tz.zeros((1,8,1,1)), dilation)\n"
+            "        loss = tz.sum_all(tz.mul(out, g))\n"
+            "    digest.update(out.data.tobytes())\n"
             "    for d in tape.gradients(loss, [x, w]):\n"
             "        digest.update(d.tobytes())\n"
             # float64 weight gradients at 128x128: depthwise taps take dot
@@ -308,8 +311,9 @@ class TestForward:
             "    w = Tensor(rng.normal(size=shape))\n"
             "    g = Tensor(rng.normal(size=x.shape))\n"
             "    with tz.GradTape() as tape:\n"
-            "        loss = tz.sum_all(tz.mul(tz.conv2d(x, w, tz.zeros((1,8,1,1), np.float64),"
-            " dilation), g))\n"
+            "        out = tz.conv2d(x, w, tz.zeros((1,8,1,1), np.float64), dilation)\n"
+            "        loss = tz.sum_all(tz.mul(out, g))\n"
+            "    digest.update(out.data.tobytes())\n"
             "    for d in tape.gradients(loss, [x, w]):\n"
             "        digest.update(d.tobytes())\n"
             # 48 channels at 64x64 take 10 blocks of copied taps, and the

@@ -239,10 +239,12 @@ class TestConv2d:
         with monkeypatch.context() as m:
             m.setattr(np, "matmul", counted)
             got = tape.gradients(loss, inputs)
-        # one product per block of channels: 3+1 is two, 1+1+1+1 four; the
+        # one product per block of channels: 3+1 is two, 1+1+1+1 four; a 1-D
+        # depthwise kernel's forward is one banded product at any budget; the
         # backward takes dx and dW from each block of the cotangent's taps
         n_blocks = -(-ORACLE_CHANNELS // blocks) if blocks else 1
-        assert (forward, len(products) - forward) == (n_blocks, 2 * n_blocks)
+        banded = shape[1] == 1 and 1 in shape[2:]
+        assert (forward, len(products) - forward) == (1 if banded else n_blocks, 2 * n_blocks)
         assert out.data.flags.c_contiguous and got[0].flags.c_contiguous
         x64, w64 = x.astype(np.float64), w.astype(np.float64)
         want = conv2d_oracle(x64, w64, b.astype(np.float64), dilation)
@@ -253,6 +255,60 @@ class TestConv2d:
                                                             dilation)):
             assert grad.dtype == dtype, name
             np.testing.assert_allclose(grad, oracle, atol=10 * tol, err_msg=name)
+
+    def test_band_segments_cover_the_axis(self):
+        # equal segments of at most BAND_SEGMENT outputs, which overrun the
+        # axis by less than one output per segment, and not at all when a
+        # count from the fewest to twice that divides the axis
+        for length in range(1, 400):
+            count, seg = tz._band_segments(length)
+            fewest = -(-length // tz.BAND_SEGMENT)
+            assert seg <= tz.BAND_SEGMENT and 0 <= count * seg - length < count, length
+            exact = any(length % k == 0 for k in range(fewest, 2 * fewest))
+            assert exact == (count * seg == length) and count < 2 * fewest, length
+        assert [tz._band_segments(k) for k in (96, 72, 37, 1)] == [(6, 16), (6, 12), (3, 13), (1, 1)]
+
+    @pytest.mark.parametrize("shape, dilation, n, length, dtypes, hwc", [
+        # each 1-D depthwise spec with its kernel's axis 96 long (6 segments
+        # of 16), 72 (6 of 12), 37 (3 of 13, which overrun it by 2), and 1
+        # long at batch 2; specs 5 and 6 at 6x7 in test_all_paths_match_oracle
+        # read more padding than their axis is long
+        pytest.param(shape, dilation, n, length, (np.float32, np.float32), False,
+                     id=f"spec{i}-axis{length}" + ("-batch2" if n == 2 else ""))
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS) if shape[1] == 1 and 1 in shape[2:]
+        for n, length in ((1, 96), (1, 72), (1, 37), (2, 1))
+    ] + [
+        pytest.param(shape, dilation, 1, 37, dtypes, hwc, id=f"spec{i}-axis37-{name}")
+        for name, dtypes, hwc in (("float64", (np.float64, np.float64), False),
+                                  ("hwc", (np.float32, np.float32), True),
+                                  ("float32-map-float64-kernel", (np.float32, np.float64), False))
+        for i, (shape, dilation) in enumerate(ORACLE_SPECS) if shape[1] == 1 and 1 in shape[2:]
+    ])
+    def test_banded_forward_matches_oracle(self, monkeypatch, shape, dilation, n, length, dtypes,
+                                           hwc):
+        rng = np.random.default_rng(8)
+        # the kernel's axis, and 5 across it
+        size = (length, 5) if shape[3] == 1 else (5, length)
+        x = rng.normal(size=(n, ORACLE_CHANNELS, *size)).astype(dtypes[0])
+        if hwc:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=shape).astype(dtypes[1])
+        b = np.zeros((1, shape[0], 1, 1), dtypes[1])
+        products = []
+        matmul = np.matmul
+
+        def counted(*a, **k):
+            products.append(1)
+            return matmul(*a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", counted)
+            out = tz.conv2d(Tensor(x), Tensor(w), Tensor(b), dilation).data
+        assert len(products) == 1
+        assert out.dtype == np.result_type(*dtypes) and out.flags.c_contiguous
+        want = conv2d_oracle(x.astype(np.float64), w.astype(np.float64), b.astype(np.float64),
+                             dilation)
+        np.testing.assert_allclose(out, want, atol=1e-12 if out.dtype == np.float64 else 1e-5)
 
     @pytest.mark.parametrize("shape, dilation, channels, size, dtype, hwc", [
         pytest.param(shape, dilation, ORACLE_CHANNELS, *case, id=f"spec{i}-{name}")
@@ -287,8 +343,17 @@ class TestConv2d:
         h, wd = size
         pw = (shape[3] - 1) * dilation[1] // 2
         exact = dtype == np.float32 or (h * wd) % 4 == (h * (wd + pw)) % 4 == 0
-        for name, got, want in (("out", out.data, frame_depthwise_oracle(x, w, dilation) + b),
-                                ("dx", dx, frame_depthwise_oracle(g, flipped, dilation))):
+        checks = [("dx", dx, frame_depthwise_oracle(g, flipped, dilation))]
+        if 1 in shape[2:] and not (dtype == np.float32 and channels == 48):
+            # a 1-D kernel's forward is a banded matrix-matrix product, which
+            # sums its taps as the frame's matrix-vector products do only on
+            # the float32 maps of the benchmark's shapes; elsewhere it may
+            # round differently, so it meets the float64 direct sum
+            want = conv2d_oracle(*(a.astype(np.float64) for a in (x, w, b)), dilation)
+            np.testing.assert_allclose(out.data, want, atol=1e-12 if dtype == np.float64 else 1e-5)
+        else:
+            checks.append(("out", out.data, frame_depthwise_oracle(x, w, dilation) + b))
+        for name, got, want in checks:
             got, want = got.reshape(channels, -1), want.reshape(channels, -1)
             if exact:
                 np.testing.assert_array_equal(got, want, err_msg=name)
