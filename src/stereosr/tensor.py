@@ -4,7 +4,7 @@ Values are immutable (batch, channels, height, width) arrays, float32 by
 default.  Every operation here but the bilinear resampler is a primitive
 with a paired backward rule; while a :class:`GradTape` is active the
 primitives record themselves, and replaying the tape in reverse yields
-exact loss gradients for arbitrary compositions.  Each record names one
+exact gradients for arbitrary compositions.  Each record names one
 output and its inputs by their tensors' keys, and its backward rule maps
 that output's cotangent to one cotangent per input.  A record holds no
 tensor itself: the backward rule keeps only the operands it reads, so a
@@ -152,22 +152,30 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def gradients(self, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-        """Cotangent of ``loss`` for each tensor in ``params``.
+    def gradients(self, output: Tensor, params: Sequence[Tensor],
+                  cotangent: np.ndarray | None = None) -> list[np.ndarray]:
+        """Gradient of sum(cotangent * output) for each tensor in ``params``.
 
-        ``loss`` must be a scalar produced through recorded primitives.
-        Parameters the loss does not depend on get zero cotangents.  Any
-        tensor may be requested, including one computed on the tape; the
-        cotangents of other intermediates are dropped as soon as the
-        backward has used them.
+        The reverse replay starts from ``cotangent``, an array of the output's
+        shape and dtype; a scalar output, such as a loss, may omit it and is
+        seeded with 1.  Parameters the output does not depend on get zero
+        cotangents.  Any tensor may be requested, including one computed on
+        the tape or the output itself, which gets back its seed; the
+        cotangents of other intermediates are dropped once used.
         """
-        if loss.numel != 1:
-            raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        if cotangent is None:
+            if output.numel != 1:
+                raise ShapeError(f"an output of shape {output.shape} needs a cotangent")
+            cotangent = np.ones_like(output.data)
+        elif cotangent.shape != output.shape:
+            raise ShapeError(f"cotangent shaped {cotangent.shape}, output {output.shape}")
+        elif cotangent.dtype != output.dtype:
+            raise TypeError(f"cotangent is {cotangent.dtype}, output {output.dtype}")
 
         requested = {p.key for p in params}
-        # a record whose output the loss does not read gets no cotangent and
-        # is skipped whole
-        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
+        # a record whose output the seeded output does not read gets no
+        # cotangent and is skipped whole
+        grads: dict[int, np.ndarray] = {output.key: cotangent}
         for rec in reversed(self._records):
             out = rec.output
             # every reader of the output comes later on the tape, so its
@@ -179,7 +187,7 @@ class GradTape:
                 # never in place: the summand may be shared with another input
                 acc = grads.get(key)
                 grads[key] = dt if acc is None else acc + dt
-        return [grads.get(p.key, np.zeros_like(p.data)) for p in params]
+        return [grads[p.key] if p.key in grads else np.zeros_like(p.data) for p in params]
 
 
 def _record(name: str, inputs: tuple, output: Tensor, backward_fn: _BackwardFn) -> None:
@@ -249,18 +257,6 @@ def mul(a: Tensor, b) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     _record("exp", (a,), out, lambda g: (g * out.data,))
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Total of all elements as a (1, 1, 1, 1) tensor."""
-    out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1))
-    shape, dtype = a.shape, a.dtype
-
-    def bwd(g):
-        return (np.full(shape, g.reshape(()), dtype=dtype),)
-
-    _record("sum_all", (a,), out, bwd)
     return out
 
 
@@ -789,15 +785,23 @@ def grad_check(f: Callable[[list[Tensor]], Tensor], params: Sequence[Tensor],
     """Max relative error between tape gradients of ``f`` and central
     finite differences.
 
-    ``f`` maps a list of tensors to a scalar tensor and must be pure.  The
-    whole check runs in float64 regardless of the parameters' dtype; the
-    error denominator is max(1, |analytic|, |numeric|) per coordinate.
+    ``f`` maps a list of tensors to a tensor and must be pure.  Both sides
+    are of sum(G * f), with G one fixed-seed N(0, 1) draw (1 for a
+    one-element output) that seeds the tape, so every output element
+    counts at its own scale, not at 1/numel as under a mean.  The whole
+    check runs in float64 regardless of the parameters' dtype; the error
+    denominator is max(1, |analytic|, |numeric|) per coordinate.
     """
     base = [p.data.astype(np.float64) for p in params]
     p64 = [Tensor(b) for b in base]
     with GradTape() as tape:
-        loss = f(p64)
-    analytic = tape.gradients(loss, p64)
+        out = f(p64)
+    g = np.ones(out.shape) if out.numel == 1 else np.random.default_rng(0).normal(size=out.shape)
+    analytic = tape.gradients(out, p64, g)
+
+    def contracted(k, value):
+        moved = [Tensor(value) if j == k else p64[j] for j in range(len(base))]
+        return float(np.sum(g * f(moved).data))
 
     worst = 0.0
     for k in range(len(base)):
@@ -808,9 +812,7 @@ def grad_check(f: Callable[[list[Tensor]], Tensor], params: Sequence[Tensor],
             plus.reshape(-1)[i] = orig + eps
             minus = base[k].copy()
             minus.reshape(-1)[i] = orig - eps
-            f_plus = f([Tensor(plus) if j == k else p64[j] for j in range(len(base))]).item()
-            f_minus = f([Tensor(minus) if j == k else p64[j] for j in range(len(base))]).item()
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (contracted(k, plus) - contracted(k, minus)) / (2.0 * eps)
             exact = float(analytic[k].reshape(-1)[i])
             err = abs(exact - numeric) / max(1.0, abs(exact), abs(numeric))
             if err > worst:

@@ -2,13 +2,15 @@
 the rest of the session.
 
 Each mutant scales one cotangent of a recorded backward rule by 0.99 and
-runs the checks that must kill it, which must then report a failure.  All
+runs the checks that must kill it, which must then report a failure; every
+rule that the package records has a mutant and a gradcheck row.  All
 mutants run in turn in one child process, which sees only PATH, one BLAS
 thread and the directory that holds the stereosr package this process
 imported, and writes no bytecode and no cache.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import stereosr
+from stereosr import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,12 +33,22 @@ CONV2D_CHECKS = (
 )
 CONV1X1_CHECKS = ("tests/test_tensor.py::TestConv1x1::test_matches_the_unfolded_composition",
                   *REFERENCE)
+ROW = "tests/test_verify.py::test_primitive_row"
+
+
+def rows(*names: str) -> tuple[str, ...]:
+    """The gradcheck rows of these names, each a test of its own."""
+    return tuple(f"{ROW}[{name}]" for name in names)
+
 
 # name: (rule, index of the cotangent to scale, the input counts of the
 # records it scales, or None for every record of the rule, the checks).  A
 # conv1x1 record's inputs are x, W, b, the scale if given, then the norm's
 # gain and shift if given; a sinkhorn record of the scaling form has one
-# input, the scores, and the log-domain fallback's have two or three
+# input, the scores, and the log-domain fallback's have two (a dual update:
+# the scores and the other dual) or three (the plan: the scores and both
+# duals).  A rule's gradcheck rows come first among its checks and must be
+# what kills it
 MUTANTS = {
     "conv2d-dx": ("conv2d", 0, None, CONV2D_CHECKS),
     "conv2d-dW": ("conv2d", 1, None, CONV2D_CHECKS),
@@ -46,12 +59,29 @@ MUTANTS = {
     "conv1x1-dscale": ("conv1x1", 3, (4, 6), CONV1X1_CHECKS),
     "conv1x1-dgain": ("conv1x1", -2, (5, 6), CONV1X1_CHECKS),
     "conv1x1-dshift": ("conv1x1", -1, (5, 6), CONV1X1_CHECKS),
-    "simple_gate-dx": ("simple_gate", 0, None, REFERENCE),
-    "sinkhorn-dscores": ("sinkhorn", 0, (1,), REFERENCE),
+    "simple_gate-dx": ("simple_gate", 0, None, (*rows("simple_gate"), *REFERENCE)),
+    "sinkhorn-dscores": ("sinkhorn", 0, (1,), (*rows("sinkhorn"), *REFERENCE)),
     "cost_matrix-du_l": ("cost_matrix", 0, None, REFERENCE),
     "cost_matrix-du_r": ("cost_matrix", 1, None, REFERENCE),
     "carry-dplan": ("carry", 0, None, REFERENCE),
     "carry-dvalues": ("carry", 1, None, REFERENCE),
+    "add-da": ("add", 0, None, rows("add", "add_broadcast")),
+    "add-db": ("add", 1, None, rows("add", "add_broadcast")),
+    "sub-da": ("sub", 0, None, rows("sub")),
+    "sub-db": ("sub", 1, None, rows("sub")),
+    "mul-da": ("mul", 0, None, rows("mul", "mul_broadcast")),
+    "mul-db": ("mul", 1, None, rows("mul", "mul_broadcast")),
+    "exp-dx": ("exp", 0, None, rows("exp")),
+    "mean_all-dx": ("mean_all", 0, None, REFERENCE),
+    "logsumexp-dx": ("logsumexp", 0, None, rows("logsumexp")),
+    "global_avg_pool-dx": ("global_avg_pool", 0, None, rows("global_avg_pool")),
+    "pixel_shuffle-dx": ("pixel_shuffle", 0, None, rows("pixel_shuffle")),
+    "spectral_l1-dx": ("spectral_l1", 0, None, rows("spectral_l1_even", "spectral_l1_odd")),
+    "sinkhorn-update-dscores": ("sinkhorn", 0, (2,), rows("sinkhorn_wide")),
+    "sinkhorn-update-ddual": ("sinkhorn", 1, (2,), rows("sinkhorn_wide")),
+    "sinkhorn-plan-dscores": ("sinkhorn", 0, (3,), rows("sinkhorn_wide")),
+    "sinkhorn-plan-du": ("sinkhorn", 1, (3,), rows("sinkhorn_wide")),
+    "sinkhorn-plan-dv": ("sinkhorn", 2, (3,), rows("sinkhorn_wide")),
 }
 
 # argv: the mutants as JSON.  transport imports _record by name, so both
@@ -108,6 +138,9 @@ def _assert_killed(out: str, name: str):
     # exit code 1 is "some tests failed"; an error in collection or in
     # pytest itself exits otherwise
     assert "\nEXIT 1\n" in part and " failed" in part, out[-2000:]
+    # the checks stop at the first failure, so a failed row killed it
+    if MUTANTS[name][3][0].startswith(ROW):
+        assert f"FAILED {ROW}[" in part, part[-2000:]
 
 
 @pytest.mark.parametrize("index", ["dx", "dW", "db"])
@@ -118,6 +151,22 @@ def test_scaled_conv2d_cotangent_fails_a_check(mutant_runs, index):
 @pytest.mark.parametrize("name", [name for name in MUTANTS if not name.startswith("conv2d")])
 def test_scaled_cotangent_fails_a_check(mutant_runs, name):
     _assert_killed(mutant_runs, name)
+
+
+def test_every_recorded_rule_has_a_gradcheck_row_and_a_mutant():
+    # a rule is covered by a row of its name or one that extends it (conv2d
+    # by conv2d_full_3x3, spectral_l1 by spectral_l1_even), as in
+    # test_train.py's TestTapeCoverage
+    source = Path(stereosr.__file__).resolve().parent
+    recorded = {name for path in source.glob("*.py")
+                for name in re.findall(r'_record\(\s*"(\w+)"', path.read_text())}
+    mutated = {rule for rule, *_ in MUTANTS.values()}
+    checked = list(verify.primitive_cases())
+    assert {"add", "conv2d", "conv1x1", "sinkhorn", "spectral_l1"} <= recorded
+    assert sorted(name for name in recorded
+                  if not any(row.startswith(name) for row in checked)) == []
+    assert sorted(recorded - mutated) == []
+    assert sorted(mutated - recorded) == []
 
 
 def test_failing_hypothesis_test_leaves_later_tests_running(tmp_path):

@@ -283,11 +283,10 @@ class TestForward:
             " right=Tensor(rng.uniform(size=(1,3,6,10)).astype(np.float32)))\n"
             "out = md.forward(pair, store)\n"
             "scores = Tensor((rng.normal(size=(1,8,96,96))*3).astype(np.float32))\n"
-            "cot = Tensor(rng.normal(size=(1,8,96,96)).astype(np.float32))\n"
+            "cot = rng.normal(size=(1,8,96,96)).astype(np.float32)\n"
             "with tz.GradTape() as tape:\n"
             "    plan = ot.sinkhorn(ot.CostVolume(values=scores)).values\n"
-            "    loss = tz.sum_all(tz.mul(plan, cot))\n"
-            "(grad,) = tape.gradients(loss, [scores])\n"
+            "(grad,) = tape.gradients(plan, [scores], cot)\n"
             "digest = hashlib.sha256(out.left.data.tobytes()+out.right.data.tobytes()"
             "+plan.data.tobytes()+grad.tobytes())\n"
             # a 256x256 map holds about 66k elements, long enough for BLAS
@@ -296,12 +295,11 @@ class TestForward:
             "x = Tensor(rng.normal(size=(1,8,256,256)).astype(np.float32))\n"
             "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3)), ((8,8,3,3),(1,1))):\n"
             "    w = Tensor(rng.normal(size=shape).astype(np.float32))\n"
-            "    g = Tensor(rng.normal(size=x.shape).astype(np.float32))\n"
+            "    g = rng.normal(size=x.shape).astype(np.float32)\n"
             "    with tz.GradTape() as tape:\n"
             "        out = tz.conv2d(x, w, tz.zeros((1,8,1,1)), dilation)\n"
-            "        loss = tz.sum_all(tz.mul(out, g))\n"
             "    digest.update(out.data.tobytes())\n"
-            "    for d in tape.gradients(loss, [x, w]):\n"
+            "    for d in tape.gradients(out, [x, w], g):\n"
             "        digest.update(d.tobytes())\n"
             # float64 weight gradients at 128x128: depthwise taps take dot
             # products of 16.3k-16.4k entries per channel, which BLAS would
@@ -309,35 +307,32 @@ class TestForward:
             "x = Tensor(rng.normal(size=(1,8,128,128)))\n"
             "for shape, dilation in (((8,1,3,3),(1,1)), ((8,1,1,11),(1,3)), ((8,8,3,3),(1,1))):\n"
             "    w = Tensor(rng.normal(size=shape))\n"
-            "    g = Tensor(rng.normal(size=x.shape))\n"
+            "    g = rng.normal(size=x.shape)\n"
             "    with tz.GradTape() as tape:\n"
             "        out = tz.conv2d(x, w, tz.zeros((1,8,1,1), np.float64), dilation)\n"
-            "        loss = tz.sum_all(tz.mul(out, g))\n"
             "    digest.update(out.data.tobytes())\n"
-            "    for d in tape.gradients(loss, [x, w]):\n"
+            "    for d in tape.gradients(out, [x, w], g):\n"
             "        digest.update(d.tobytes())\n"
             # 48 channels at 64x64 take 10 blocks of copied taps, and the
             # 11x1 kernel at dilation 3 reads padding on 15 rows each side
             "x = Tensor(rng.normal(size=(1,48,64,64)).astype(np.float32))\n"
             "w = Tensor(rng.normal(size=(48,1,11,1)).astype(np.float32))\n"
-            "g = Tensor(rng.normal(size=x.shape).astype(np.float32))\n"
+            "g = rng.normal(size=x.shape).astype(np.float32)\n"
             "with tz.GradTape() as tape:\n"
             "    out = tz.conv2d(x, w, tz.zeros((1,48,1,1)), (3,1))\n"
-            "    loss = tz.sum_all(tz.mul(out, g))\n"
             "digest.update(out.data.tobytes())\n"
-            "for d in tape.gradients(loss, [x, w]):\n"
+            "for d in tape.gradients(out, [x, w], g):\n"
             "    digest.update(d.tobytes())\n"
             # the fused 1x1 convolution in float64 with a norm and a scale:
             # its products contract 48 channels or 4,096 sites, and the norm
             # and the weights' folds are plain reductions
             "ops = [Tensor(rng.normal(size=s)) for s in ((1,48,64,64), (48,48,1,1), (1,48,1,1),"
             " (1,48,1,1), (1,48,1,1), (1,48,1,1))]\n"
-            "g = Tensor(rng.normal(size=(1,48,64,64)))\n"
+            "g = rng.normal(size=(1,48,64,64))\n"
             "with tz.GradTape() as tape:\n"
             "    out = tz.conv1x1(*ops[:3], ops[3:5], ops[5])\n"
-            "    loss = tz.sum_all(tz.mul(out, g))\n"
             "digest.update(out.data.tobytes())\n"
-            "for d in tape.gradients(loss, ops):\n"
+            "for d in tape.gradients(out, ops, g):\n"
             "    digest.update(d.tobytes())\n"
             # float64 SSIM of a 200x900 RGB pair: its window means are
             # products of banded matrices with tiles of both images

@@ -187,9 +187,8 @@ class TestConv2d:
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
         with GradTape() as tape:
             out = tz.conv2d(*inputs)
-            loss = tz.sum_all(tz.mul(out, Tensor(g)))
         np.testing.assert_allclose(out.data, conv2d_oracle(x, w, b), atol=1e-12)
-        for name, grad, oracle in zip(("dx", "dW", "db"), tape.gradients(loss, inputs),
+        for name, grad, oracle in zip(("dx", "dW", "db"), tape.gradients(out, inputs, g),
                                       conv2d_adjoint_oracle(x, w, g)):
             np.testing.assert_allclose(grad, oracle, atol=1e-11, err_msg=name)
 
@@ -234,11 +233,10 @@ class TestConv2d:
             with monkeypatch.context() as m:
                 m.setattr(np, "matmul", counted)
                 out = tz.conv2d(*inputs, dilation)
-            loss = tz.sum_all(tz.mul(out, Tensor(g)))
         forward = len(products)
         with monkeypatch.context() as m:
             m.setattr(np, "matmul", counted)
-            got = tape.gradients(loss, inputs)
+            got = tape.gradients(out, inputs, g)
         # one product per block of channels: 3+1 is two, 1+1+1+1 four; a 1-D
         # depthwise kernel's forward is one banded product at any budget; the
         # backward takes dx and dW from each block of the cotangent's taps
@@ -333,8 +331,7 @@ class TestConv2d:
         inputs = [Tensor(x), Tensor(w), Tensor(b)]
         with GradTape() as tape:
             out = tz.conv2d(*inputs, dilation)
-            loss = tz.sum_all(tz.mul(out, Tensor(g)))
-        dx = tape.gradients(loss, inputs)[0]
+        dx = tape.gradients(out, inputs, g)[0]
         flipped = np.ascontiguousarray(w[..., ::-1, ::-1])
         # OpenBLAS's float64 matrix-vector product rounds the last (length
         # mod 4) entries of each product in its remainder code.  A map has
@@ -388,8 +385,8 @@ class TestConv2d:
         g = rng.normal(size=(1, shape[0], *size)).astype(dtype)
         inputs = [Tensor(x), Tensor(w), tz.zeros((1, shape[0], 1, 1), dtype)]
         with GradTape() as tape:
-            loss = tz.sum_all(tz.mul(tz.conv2d(*inputs, dilation), Tensor(g)))
-        got = tape.gradients(loss, inputs)[1]
+            out = tz.conv2d(*inputs, dilation)
+        got = tape.gradients(out, inputs, g)[1]
         want = frame_grad_w_oracle(x, g, shape, dilation)
         assert got.dtype == want.dtype == dtype and got.shape == shape
         bound = 1e-13 if dtype == np.float64 else 1e-5
@@ -535,10 +532,9 @@ class TestConv1x1:
         with GradTape() as tape:
             norm = (t["g"], t["s"]) if "g" in t else None
             out = tz.conv1x1(t["x"], t["w"], t["b"], norm, t.get("r"))
-            loss = tz.sum_all(tz.mul(out, Tensor(cot)))
         assert out.dtype == dtype
         np.testing.assert_array_less(np.abs(out.data - want).max(), tol * np.abs(want).max())
-        for k, got in zip(t, tape.gradients(loss, list(t.values()))):
+        for k, got in zip(t, tape.gradients(out, list(t.values()), cot)):
             assert got.shape == ops[k].shape and got.dtype == dtype, k
             err = np.abs(got - want_grads[k]).max() / np.abs(want_grads[k]).max()
             assert err < tol, f"d{k}: {err:.2e}"
@@ -552,9 +548,8 @@ class TestConv1x1:
         scale = tz.zeros((1, 4, 1, 1))
         with GradTape() as tape:
             out = tz.conv1x1(x, w, b, scale=scale)
-            loss = tz.sum_all(tz.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
         np.testing.assert_array_equal(out.data, 0.0)
-        dw, dr = tape.gradients(loss, [w, scale])
+        dw, dr = tape.gradients(out, [w, scale], rng.normal(size=out.shape).astype(np.float32))
         np.testing.assert_array_equal(dw, 0.0)
         assert np.abs(dr).min() > 0
 
@@ -708,18 +703,11 @@ class TestBilinearUpsample:
 
 
 class TestBackward:
-    def test_sum_gradient_is_ones(self):
-        x = tz.tensor(np.random.default_rng(15).normal(size=(1, 2, 3, 3)))
-        with GradTape() as tape:
-            loss = tz.sum_all(x)
-        (g,) = tape.gradients(loss, [x])
-        np.testing.assert_array_equal(g, np.ones_like(x.data))
-
     def test_quadratic_gradient(self):
         x = tz.tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
         with GradTape() as tape:
-            loss = tz.sum_all(tz.mul(x, x))
-        (g,) = tape.gradients(loss, [x])
+            y = tz.mul(x, x)
+        (g,) = tape.gradients(y, [x], np.ones_like(y.data))
         np.testing.assert_allclose(g.ravel(), [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -729,11 +717,41 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.gradients(y, [x])
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 1), (1, 1, 4, 1), (1, 1, 1, 1), (2, 2)],
+                             ids=["fewer", "more", "scalar", "rank-2"])
+    def test_cotangent_of_another_shape_rejected(self, shape):
+        x = tz.tensor(np.ones((1, 1, 2, 2)))
+        with GradTape() as tape:
+            y = tz.mul(x, 2.0)
+        with pytest.raises(ShapeError, match="cotangent shaped"):
+            tape.gradients(y, [x], np.ones(shape, y.dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64])
+    def test_cotangent_of_another_dtype_rejected(self, dtype):
+        # a float64 seed would promote every float32 cotangent behind it
+        x = tz.tensor(np.ones((1, 1, 2, 2)))
+        with GradTape() as tape:
+            y = tz.mul(x, 2.0)
+        with pytest.raises(TypeError, match="cotangent is"):
+            tape.gradients(y, [x], np.ones(y.shape, dtype))
+
+    def test_seeded_output_requested_gets_its_cotangent(self):
+        x = tz.tensor(np.array([1.0, -2.0, 0.5]).reshape(1, 3, 1, 1))
+        with GradTape() as tape:
+            y = tz.mul(x, 3.0)
+            z = tz.mul(y, y)
+        cot = np.array([0.25, -4.0, 7.0], np.float32).reshape(z.shape)
+        g_z, g_x, g_y = tape.gradients(z, [z, x, y], cot)
+        assert g_z.dtype == cot.dtype
+        np.testing.assert_array_equal(g_z, cot)
+        np.testing.assert_array_equal(g_y, 2 * cot * y.data)
+        np.testing.assert_array_equal(g_x, 3 * g_y)
+
     def test_unused_parameter_gets_zeros(self):
         x = tz.tensor(np.ones((1, 1, 2, 2)))
         other = tz.tensor(np.ones((1, 1, 2, 2)))
         with GradTape() as tape:
-            loss = tz.sum_all(x)
+            loss = tz.mean_all(x)
         g_x, g_other = tape.gradients(loss, [x, other])
         np.testing.assert_array_equal(g_other, 0.0)
 
@@ -746,7 +764,7 @@ class TestBackward:
     def test_shared_input_accumulates(self):
         x = tz.tensor(np.array([3.0]).reshape(1, 1, 1, 1))
         with GradTape() as tape:
-            loss = tz.sum_all(tz.add(tz.mul(x, x), x))  # x^2 + x
+            loss = tz.add(tz.mul(x, x), x)  # x^2 + x
         (g,) = tape.gradients(loss, [x])
         np.testing.assert_allclose(g.ravel(), [7.0])
 
@@ -759,7 +777,7 @@ class TestBackward:
         with GradTape() as tape:
             m = tz.mul(x, y)
             s = tz.add(x, y)
-            loss = tz.sum_all(tz.add(tz.mul(s, s), m))   # (x + y)^2 + x*y
+            loss = tz.add(tz.mul(s, s), m)   # (x + y)^2 + x*y
         g_x, g_y = tape.gradients(loss, [x, y])
         np.testing.assert_array_equal(g_x.ravel(), [8.0])   # 2(x + y) + y
         np.testing.assert_array_equal(g_y.ravel(), [7.0])   # 2(x + y) + x
@@ -770,8 +788,8 @@ class TestBackward:
         x = tz.tensor(np.array([1.0, -2.0]).reshape(1, 2, 1, 1))
         with GradTape() as tape:
             y = tz.mul(x, 3.0)
-            loss = tz.sum_all(tz.add(tz.mul(y, y), y))   # y^2 + y
-        g_y, g_x = tape.gradients(loss, [y, x])
+            out = tz.add(tz.mul(y, y), y)   # y^2 + y
+        g_y, g_x = tape.gradients(out, [y, x], np.ones_like(out.data))
         np.testing.assert_allclose(g_y.ravel(), [7.0, -11.0])
         np.testing.assert_allclose(g_x.ravel(), [21.0, -33.0])
 
@@ -783,10 +801,9 @@ class TestBackward:
             y = x
             for _ in range(40):
                 y = tz.mul(y, 1.5)
-            loss = tz.sum_all(y)
         tracemalloc.start()
         try:
-            (g,) = tape.gradients(loss, [x])
+            (g,) = tape.gradients(y, [x], np.ones_like(y.data))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -798,8 +815,9 @@ class TestBackward:
     def _upsampled_residual(keep_leaves):
         """The network's head in miniature: a sub-pixel shuffle of a doubled
         parameter plus the bilinear upsample of four low-resolution images,
-        under a squared loss.  The parameter's gradient, the loss's input
-        and the ids of the upsampled leaves, which the tape does not record."""
+        squared and seeded with ones.  The parameter's gradient, the sum
+        before squaring and the ids of the upsampled leaves, which the tape
+        does not record."""
         rng = np.random.default_rng(40)
         p = tz.tensor(rng.normal(size=(1, 8, 2, 3)), np.float64)
         lows = [tz.tensor(rng.normal(size=(1, 2, 2, 3)), np.float64) for _ in range(4)]
@@ -813,8 +831,8 @@ class TestBackward:
                 if keep_leaves:
                     kept.append(leaf)
                 del leaf
-            loss = tz.sum_all(tz.mul(y, y))
-        (g,) = tape.gradients(loss, [p])
+            out = tz.mul(y, y)
+        (g,) = tape.gradients(out, [p], np.ones_like(out.data))
         return g, y.data, leaf_ids
 
     def test_dropped_leaf_does_not_merge_cotangents(self):
@@ -838,10 +856,9 @@ class TestTapeKeepsOperandsOnly:
         (tz.add, [(2, 3, 4, 6), (1, 3, 1, 1)]),
         (tz.sub, [(2, 3, 4, 6), (2, 1, 4, 6)]),
         (tz.mean_all, [(2, 3, 4, 6)]),
-        (tz.sum_all, [(2, 3, 4, 6)]),
         (tz.global_avg_pool, [(2, 3, 4, 6)]),
         (tz.spectral_l1, [(2, 3, 4, 6)]),
-    ], ids=["add", "sub", "mean_all", "sum_all", "global_avg_pool", "spectral_l1"])
+    ], ids=["add", "sub", "mean_all", "global_avg_pool", "spectral_l1"])
     def test_backward_keeps_no_input(self, op, shapes):
         # these backward rules read only their inputs' shapes and dtypes, so
         # the tape must not keep the inputs' arrays alive
@@ -862,7 +879,7 @@ class TestTapeKeepsOperandsOnly:
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         x = tz.tensor(np.random.default_rng(16).normal(size=(1, 1, 3, 3)))
-        err = tz.grad_check(lambda p: tz.sum_all(tz.mul(p[0], p[0])), [x])
+        err = tz.grad_check(lambda p: tz.mul(p[0], p[0]), [x])
         assert err < 1e-8
 
     def test_conv_norm_gate_chain(self):
