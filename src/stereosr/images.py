@@ -6,10 +6,9 @@ interlaced, at most MAX_PIXELS pixels.  Everything else (palette, alpha,
 rather than guessed at.  ``png_size`` checks a file's header, its first 33
 bytes, without reading the rest.
 
-Row filters are undone as one wavefront over the anti-diagonals when any
-row is Average or Paeth, and row by row otherwise; both are vectorized.
-The wavefront predicts each diagonal with one lookup in a table of
-predictor offsets, built the first time an image needs it.
+Row filters are undone as one vectorized wavefront over the
+anti-diagonals, which predicts each diagonal with one lookup in a table of
+predictor offsets, built on first use.
 """
 
 from __future__ import annotations
@@ -103,21 +102,6 @@ def _iter_chunks(blob: bytes):
         pos = data_end + 4
 
 
-def _unfilter_rows(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
-    # None, Sub and Up rows only: each row is one vectorized step, and uint8
-    # arithmetic wraps mod 256, which is the PNG rule
-    out = np.zeros_like(filtered)
-    for y, ftype in enumerate(ftypes.tolist()):
-        if ftype == 0:
-            out[y] = filtered[y]
-        elif ftype == 1:
-            # each byte adds the decoded byte one pixel to its left
-            np.cumsum(filtered[y], axis=0, dtype=np.uint8, out=out[y])
-        else:
-            np.add(filtered[y], out[y - 1] if y else 0, out=out[y])
-    return out
-
-
 # Predictor offsets by filter: each predictor is c plus an offset that depends
 # only on da = a - c and db = b - c, so one lookup in a table indexed by
 # (slab, da + 255, db + 255) predicts any row.  A row of filter type f >= 1
@@ -148,7 +132,23 @@ def _offset_table() -> np.ndarray:
     return table
 
 
-def _unfilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
+def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
+    """Undo the scanline filters of ``raw``: an (h, w, ch) uint8 array.
+
+    One wavefront over the anti-diagonals, one table lookup per diagonal,
+    undoes every row, with None rows rewritten as Sub rows.
+    """
+    stride = width * channels
+    if len(raw) != height * (stride + 1):
+        raise PngError(
+            f"decompressed size {len(raw)} does not match {height} rows of {stride + 1} bytes"
+        )
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    ftypes = data[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        y = int(bad[0])
+        raise PngError(f"unknown scanline filter type {ftypes[y]} on row {y}")
     # Pixel (y, x) is predicted from its left (y, x-1), upper (y-1, x) and
     # upper-left (y-1, x-1) neighbours, so each anti-diagonal y + x = d
     # depends only on the two before it: one vectorized step per diagonal
@@ -159,8 +159,7 @@ def _unfilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     # in increasing order, so a slot no diagonal has reached yet still holds
     # the zero that a pixel in column 0 has for its left and upper-left
     # neighbours.  Channels trail, so a, b and c are contiguous slices.
-    height, width, channels = filtered.shape
-    image = filtered.copy()
+    image = data[:, 1:].reshape(height, width, channels).copy()
     none = ftypes == 0
     if none.any():
         # a None row decodes as a Sub row whose bytes are differenced one
@@ -196,32 +195,6 @@ def _unfilter_wavefront(filtered: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
         flat[diagonal] = pixels
         prev2, prev, cur = prev, cur, prev2
     return image
-
-
-def _unfilter(raw: bytes, width: int, height: int, channels: int) -> np.ndarray:
-    """Undo the scanline filters of ``raw``: an (h, w, ch) uint8 array.
-
-    Images with an Average (3) or Paeth (4) row decode as one wavefront
-    over the anti-diagonals, one table lookup per diagonal, with None rows
-    rewritten as Sub rows; those with only None, Sub and Up rows keep a
-    vectorized row loop, which on them is far faster (a 1024x1024 RGB image
-    of None rows: 0.5 ms against 27 ms for the wavefront, one thread).
-    """
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
-        raise PngError(
-            f"decompressed size {len(raw)} does not match {height} rows of {stride + 1} bytes"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
-    ftypes = data[:, 0]
-    bad = np.flatnonzero(ftypes > 4)
-    if bad.size:
-        y = int(bad[0])
-        raise PngError(f"unknown scanline filter type {ftypes[y]} on row {y}")
-    filtered = data[:, 1:].reshape(height, width, channels)
-    if (ftypes >= 3).any():
-        return _unfilter_wavefront(filtered, ftypes)
-    return _unfilter_rows(filtered, ftypes)
 
 
 # The signature and the IHDR chunk, which the PNG specification puts first

@@ -439,19 +439,19 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, dilation) -> np.ndarray:
     Untaped default-config forwards by TAP_STACK_BYTES and input size, each
     the fastest of 3 calls in a fresh process, medians of 8 interleaved
     rounds on one BLAS thread of a 2-core machine with 2 MiB of L2 per
-    core.  Single rounds spread widely (1 MiB: 0.63-0.86 s at 32x96,
-    0.33-0.52 s at 16x96).  Every depthwise kernel took tap blocks then;
-    the budget now governs only the 3x3 depthwise forward and the
-    depthwise backward, since a full kernel takes all its channels in one
-    block:
+    core.  The budget governs only the 3x3 depthwise forward and the
+    depthwise backward: a full kernel takes all its channels in one block,
+    and the 1-D kernels take _band_forward.  Single rounds spread (1 MiB:
+    0.465-0.510 s at 32x96, 0.231-0.271 s at 16x96); 10 more rounds of
+    512 KiB and 1 MiB alone read 0.477 and 0.475 s, 0.253 and 0.251 s:
 
-        budget      32x96    16x96
-        256 KiB     0.76 s   0.38 s
-        512 KiB     0.77 s   0.40 s
-        1 MiB       0.73 s   0.37 s
-        2 MiB       0.87 s   0.39 s
-        4 MiB       0.93 s   0.41 s
-        unblocked   0.97 s   0.46 s
+        budget      32x96     16x96
+        256 KiB     0.512 s   0.265 s
+        512 KiB     0.479 s   0.255 s
+        1 MiB       0.484 s   0.259 s
+        2 MiB       0.494 s   0.258 s
+        4 MiB       0.506 s   0.263 s
+        unblocked   0.529 s   0.269 s
 
     The forwards of the default branches' 10 distinct 1-D kernels, summed,
     by BAND_SEGMENT, in ms, at batch 1: each kernel the fastest of 5 runs

@@ -85,6 +85,11 @@ class TestMslska:
         assert support[:, 0].min() >= 4 - half and support[:, 0].max() <= 4 + half
         assert support[:, 1].min() >= 4 - half and support[:, 1].max() <= 4 + half
 
+    def test_no_branches_rejected(self):
+        y = tz.tensor(np.random.default_rng(6).normal(size=(1, 4, 5, 5)))
+        with pytest.raises(ValueError, match="at least one branch"):
+            bk.mslska(y, small_params(4), ())
+
     def test_default_branches_preserve_shape(self):
         c = 4
         p = small_params(c, bk.default_branches(), seed=4)

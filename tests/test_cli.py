@@ -533,6 +533,29 @@ def _flat_pair(tmp_path, height, width):
     return paths
 
 
+class TestOverfitCrop:
+    def _overfit(self, tmp_path, height, width):
+        left, right = _flat_pair(tmp_path, height, width)
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 4\nlska_branches = 3:3:1\n")
+        return cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "1", "--out", str(tmp_path / "fit.msin"),
+        ])
+
+    def test_views_are_cropped_to_a_multiple_of_the_scale(self, tmp_path):
+        # 98x290 at x4 trains on 96x288, whose LR views are 24x72
+        assert self._overfit(tmp_path, 98, 290) == cli.EXIT_OK
+        assert (tmp_path / "fit.msin").exists()
+
+    def test_view_smaller_than_the_scale_is_usage_error(self, tmp_path, capsys):
+        assert self._overfit(tmp_path, 3, 290) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "image 3x290 too small for scale 4" in err
+        assert not (tmp_path / "fit.msin").exists()
+
+
 class TestCostVolumeBound:
     @pytest.mark.parametrize("h, w", [(32, 1024), (128, 512)])
     def test_bound_admits_and_rejects_one_more_column(self, h, w):

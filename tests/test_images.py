@@ -192,32 +192,11 @@ class TestUnfilterOracle:
         rng = np.random.default_rng(7 * width + 3 * height + channels)
         rows = rng.integers(0, 256, size=(height, 1 + width * channels), dtype=np.uint8)
         rows[:, 0] = rng.integers(0, 5, size=height)
-        rows[0, 0] = 4  # at least one Paeth row, so the wavefront runs
         raw = rows.tobytes()
         np.testing.assert_array_equal(
             im._unfilter(raw, width, height, channels),
             unfilter_oracle(raw, width, height, channels),
         )
-
-    @pytest.mark.parametrize("ftypes, wavefront", [((0, 1, 2, 1, 0, 2), False),
-                                                    ((0, 1, 2, 3, 4, 2), True)],
-                             ids=["none_sub_up_rows", "mixed_rows"])
-    def test_row_loop_and_wavefront_both_match(self, monkeypatch, ftypes, wavefront):
-        # images without Average or Paeth rows keep the row loop; any such
-        # row sends the whole image through the wavefront
-        calls = []
-        run = im._unfilter_wavefront
-        monkeypatch.setattr(im, "_unfilter_wavefront", lambda *a: calls.append(1) or run(*a))
-        width, channels = 9, 3
-        rows = np.random.default_rng(11).integers(
-            0, 256, size=(len(ftypes), 1 + width * channels), dtype=np.uint8)
-        rows[:, 0] = ftypes
-        raw = rows.tobytes()
-        np.testing.assert_array_equal(
-            im._unfilter(raw, width, len(ftypes), channels),
-            unfilter_oracle(raw, width, len(ftypes), channels),
-        )
-        assert bool(calls) == wavefront
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(width=st.integers(1, 24), height=st.integers(1, 24), channels=st.sampled_from([1, 3]),
@@ -349,6 +328,13 @@ class TestPngValidation:
         with pytest.raises(PngError, match="signature"):
             im.decode_png(b"not a png at all")
 
+    def test_file_signature_checked_before_its_length(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.png"
+        path.write_bytes(b"GIF89a" + bytes(94))
+        monkeypatch.setattr(im, "MAX_PNG_BYTES", 16)
+        with pytest.raises(PngError, match="signature"):
+            im.load_png(path)
+
     def test_crc_corruption_rejected(self, tmp_path):
         buf = ImageBuffer(pixels=np.full((4, 4, 3), 200, np.uint8))
         blob = bytearray(im.encode_png(buf))
@@ -455,3 +441,7 @@ class TestBicubicDownsample:
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
             im.bicubic_downsample(Tensor(np.zeros((1, 3, 7, 8), np.float32)), 2)
+
+    def test_factor_zero_rejected(self):
+        with pytest.raises(ShapeError, match="factor must be >= 1"):
+            im.bicubic_downsample(Tensor(np.zeros((1, 3, 4, 4), np.float32)), 0)

@@ -152,6 +152,10 @@ class TestSsim:
         b = image(7)
         assert abs(mt.ssim(a, b) - mt.ssim(b, a)) < 1e-9
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            mt.ssim(image(0), image(1, (1, 3, 14, 17)))
+
     def test_too_small_image_rejected(self):
         small = image(8, (1, 3, 8, 8))
         with pytest.raises(ShapeError):

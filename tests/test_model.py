@@ -88,6 +88,15 @@ class TestInitModel:
         store = md.init_model(ModelConfig(), seed=0)
         assert 0.5e6 < store.param_count < 4e6
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda ts: ts[:-1], "expected"),
+        (lambda ts: [Tensor(ts[0].data[..., :1]), *ts[1:]], "shape"),
+    ], ids=["count", "shape"])
+    def test_replace_values_rejects_another_layout(self, change, match):
+        store = md.init_model(tiny_config(), seed=0)
+        with pytest.raises(tz.ShapeError, match=match):
+            store.replace_values(change(store.tensors()))
+
     def test_unshared_views_have_separate_weights(self):
         store = md.init_model(tiny_config(share_view_weights=False), seed=0)
         assert "left.intro.weight" in store

@@ -630,6 +630,10 @@ class TestPixelShuffle:
         with pytest.raises(ShapeError):
             tz.pixel_shuffle(tz.zeros((1, 6, 2, 2)), 2)
 
+    def test_factor_zero_rejected(self):
+        with pytest.raises(ShapeError, match="factor must be >= 1"):
+            tz.pixel_shuffle(tz.zeros((1, 4, 2, 2)), 0)
+
 
 def full_spectrum_l1(x):
     """The frequency term from its definition: the mean of |Re| and |Im|
@@ -701,6 +705,10 @@ class TestBilinearUpsample:
         out = tz.bilinear_upsample(x, 2)
         np.testing.assert_allclose(out.data[0, 0, :, 0], [0.0, 0.25, 0.75, 1.0])
 
+    def test_factor_zero_rejected(self):
+        with pytest.raises(ShapeError, match="factor must be >= 1"):
+            tz.bilinear_upsample(tz.zeros((1, 1, 2, 2)), 0)
+
 
 class TestBackward:
     def test_quadratic_gradient(self):
@@ -754,6 +762,17 @@ class TestBackward:
             loss = tz.mean_all(x)
         g_x, g_other = tape.gradients(loss, [x, other])
         np.testing.assert_array_equal(g_other, 0.0)
+
+    def test_record_whose_output_is_not_read_is_skipped(self):
+        # a record whose output gets no cotangent has no backward to run
+        calls = []
+        x = tz.tensor(np.ones((1, 1, 2, 2)))
+        with GradTape() as tape:
+            tz._record("unread", (x,), tz.zeros(x.shape), lambda g: calls.append(g) or (g,))
+            loss = tz.mean_all(x)
+        (g_x,) = tape.gradients(loss, [x])
+        assert calls == []
+        np.testing.assert_array_equal(g_x, 0.25)
 
     def test_nested_tapes_rejected(self):
         with GradTape():

@@ -305,6 +305,10 @@ class TestSinkhorn:
         np.testing.assert_allclose(plan.values.data, np.eye(2).reshape(1, 1, 2, 2), atol=1e-3)
         np.testing.assert_allclose(plan.values.data, oracle.values.data, atol=1e-3)
 
+    def test_non_square_volume_rejected(self):
+        with pytest.raises(tz.ShapeError, match="square per row"):
+            ot.sinkhorn(random_cost((1, 2, 3, 4), seed=0))
+
     def test_default_iteration_count(self):
         assert SinkhornConfig().iters == 10
 
@@ -380,6 +384,10 @@ class TestSinkhornOracle:
         plan = ot.sinkhorn_oracle(m)
         np.testing.assert_allclose(plan.row_sums(), 1.0, atol=1e-8)
         np.testing.assert_allclose(plan.col_sums(), 1.0, atol=1e-8)
+
+    def test_non_square_volume_rejected(self):
+        with pytest.raises(tz.ShapeError, match="square per row"):
+            ot.sinkhorn_oracle(random_cost((1, 2, 3, 4), seed=0))
 
     def test_nonconvergence_reports_violation(self):
         m = random_cost((1, 1, 4, 4), seed=12)
