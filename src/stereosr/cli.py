@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .images import ImageBuffer, PngError, bicubic_downsample, load_png, png_size, save_png
+from .images import (MAX_PIXELS, ImageBuffer, PngError, bicubic_downsample, load_png, png_size,
+                     save_png)
 from .metrics import psnr, ssim
 from .model import (
     ModelConfig,
@@ -155,12 +156,19 @@ def _load_pair(left_path, right_path) -> StereoPair:
 def _cmd_infer(args) -> int:
     # forward's own bound on its one cost volume, checked before anything
     # larger than the two headers is read
-    check_cost_volume(*_pair_size(args.left, args.right))
+    h, w = _pair_size(args.left, args.right)
+    check_cost_volume(h, w)
     store = load_weights(args.weights)
     cfg = store.config
     if args.scale is not None and args.scale != cfg.scale:
         raise UsageError(
             f"--scale {args.scale} does not match the weight file's scale {cfg.scale}"
+        )
+    # an output that load_png would refuse to read back is not written
+    if cfg.scale**2 * h * w > MAX_PIXELS:
+        raise ShapeError(
+            f"input size {h}x{w} at scale {cfg.scale} gives {cfg.scale * h}x{cfg.scale * w} "
+            f"outputs, above the bound of {MAX_PIXELS} pixels"
         )
     sr = forward(_load_pair(args.left, args.right), store, cfg)
     # quantize both views first: a non-finite output writes neither
@@ -192,14 +200,8 @@ def _cmd_overfit(args) -> int:
     # matrices grow with the input
     check_cost_volume(h // cfg.scale, w // cfg.scale, len(cfg.deam_stages()))
     hr = _load_pair(args.left, args.right)
-    hr = StereoPair(
-        left=_crop_to_multiple(hr.left, cfg.scale),
-        right=_crop_to_multiple(hr.right, cfg.scale),
-    )
-    lr = StereoPair(
-        left=bicubic_downsample(hr.left, cfg.scale),
-        right=bicubic_downsample(hr.right, cfg.scale),
-    )
+    hr = StereoPair(*(_crop_to_multiple(v, cfg.scale) for v in (hr.left, hr.right)))
+    lr = StereoPair(*(bicubic_downsample(v, cfg.scale) for v in (hr.left, hr.right)))
     log_path = args.out + ".log"
     with open(log_path, "w") as log_file:
         def on_step(entry):

@@ -52,13 +52,6 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Normalized 2-D Gaussian weights, the outer product of the normalized
-    1-D Gaussian with itself."""
-    g = _gaussian_taps(size, sigma)
-    return np.outer(g, g)
-
-
 def ssim(a: Tensor, b: Tensor) -> float:
     """Single-scale structural similarity, 11x11 Gaussian window (sigma 1.5),
     averaged over channels and valid window positions.  Dynamic range 1.

@@ -151,10 +151,6 @@ class WeightStore:
     def items(self):
         return self._params.items()
 
-    @property
-    def param_count(self) -> int:
-        return sum(t.numel for t in self._params.values())
-
     def replace_values(self, tensors) -> "WeightStore":
         """Same names and config, new tensors (given in canonical order)."""
         tensors = list(tensors)
@@ -249,28 +245,31 @@ def forward(pair: StereoPair, store: WeightStore, cfg: ModelConfig | None = None
         raise ShapeError(f"expected 3-channel input images, got {pair.left.c} channels")
     check_cost_volume(pair.left.h, pair.left.w, batch=pair.left.n)
 
-    left, right = _views(cfg)
-    x_l = apply_conv(pair.left, store, f"{left}intro")
-    x_r = apply_conv(pair.right, store, f"{right}intro")
+    # each step runs on the left view, then the right, and replaces that
+    # view's map at once: untaped, the old map is freed before the other
+    # view's step allocates
+    xs = [pair.left, pair.right]
+    views = list(enumerate(_views(cfg)))   # (index, weight name prefix)
+    for v, prefix in views:
+        xs[v] = apply_conv(xs[v], store, f"{prefix}intro")
 
     block = mscab_layout(cfg.width, cfg.lska_branches)
     deam = deam_layout(cfg.width)
     deam_at = set(cfg.deam_stages())
     sk = SinkhornConfig(iters=cfg.sinkhorn_iters)
     for i in range(cfg.n_blocks):
-        p_l = _params(store, f"{left}block.{i}.", block)
-        p_r = _params(store, f"{right}block.{i}.", block)
-        x_l = _blocks.mscab_forward(x_l, p_l, cfg.lska_branches)
-        x_r = _blocks.mscab_forward(x_r, p_r, cfg.lska_branches)
+        for v, prefix in views:
+            params = _params(store, f"{prefix}block.{i}.", block)
+            xs[v] = _blocks.mscab_forward(xs[v], params, cfg.lska_branches)
         if i in deam_at:
-            x_l, x_r, _ = _transport.deam_forward(x_l, x_r, _params(store, f"deam.{i}.", deam), sk)
+            *xs, _ = _transport.deam_forward(*xs, _params(store, f"deam.{i}.", deam), sk)
 
-    y_l = pixel_shuffle(apply_conv(x_l, store, f"{left}head"), cfg.scale)
-    y_r = pixel_shuffle(apply_conv(x_r, store, f"{right}head"), cfg.scale)
+    for v, prefix in views:
+        xs[v] = pixel_shuffle(apply_conv(xs[v], store, f"{prefix}head"), cfg.scale)
     if cfg.global_residual:
-        y_l = add(y_l, bilinear_upsample(pair.left, cfg.scale))
-        y_r = add(y_r, bilinear_upsample(pair.right, cfg.scale))
-    return StereoPair(left=y_l, right=y_r)
+        for v, x in enumerate((pair.left, pair.right)):
+            xs[v] = add(xs[v], bilinear_upsample(x, cfg.scale))
+    return StereoPair(*xs)
 
 
 # ---------------------------------------------------------------------------

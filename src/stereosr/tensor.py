@@ -237,20 +237,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise a * b with numpy broadcasting; b may be a Python scalar."""
-    if isinstance(b, Tensor):
-        out = Tensor(a.data * b.data)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b with numpy broadcasting."""
+    out = Tensor(a.data * b.data)
 
-        def bwd(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def bwd(g):
+        # b's cotangent first: when b broadcasts, its full-size product is
+        # summed down before a's is made, so the two are never held at once
+        g_b = _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b.data, a.shape), g_b
 
-        _record("mul", (a, b), out, bwd)
-        return out
-
-    k = a.data.dtype.type(b)
-    out = Tensor(a.data * k)
-    _record("mul", (a,), out, lambda g: (g * k,))
+    _record("mul", (a, b), out, bwd)
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .metrics import psnr
 from .model import ModelConfig, StereoPair, WeightStore, check_cost_volume, forward, init_model
-from .tensor import GradTape, ShapeError, Tensor, add, mean_all, mul, spectral_l1, sub
+from .tensor import GradTape, ShapeError, Tensor, add, full, mean_all, mul, spectral_l1, sub
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -36,7 +36,9 @@ BETA2 = 0.99
 def _view_loss(sr: Tensor, hr: Tensor) -> Tensor:
     # F(sr) - F(hr) = F(sr - hr): both terms read the one residual
     d = sub(sr, hr)
-    return add(mean_all(mul(d, d)), mul(spectral_l1(d), FREQ_WEIGHT))
+    # in the residual's dtype: a float32 weight would round float64 checks
+    weight = full((1, 1, 1, 1), FREQ_WEIGHT, d.dtype)
+    return add(mean_all(mul(d, d)), mul(spectral_l1(d), weight))
 
 
 def loss_total(sr: StereoPair, hr: StereoPair) -> Tensor:
@@ -44,7 +46,8 @@ def loss_total(sr: StereoPair, hr: StereoPair) -> Tensor:
     2-D DFT coefficients, averaged over both views as one batch."""
     if sr.left.shape != hr.left.shape:
         raise ShapeError(f"shape mismatch: sr {sr.left.shape} vs hr {hr.left.shape}")
-    return mul(add(_view_loss(sr.left, hr.left), _view_loss(sr.right, hr.right)), 0.5)
+    total = add(*map(_view_loss, (sr.left, sr.right), (hr.left, hr.right)))
+    return mul(total, full((1, 1, 1, 1), 0.5, total.dtype))
 
 
 def lion_step(store: WeightStore, grads: list[np.ndarray], momentum: list[np.ndarray],

@@ -130,14 +130,8 @@ def end_to_end_check(seed: int = 0) -> CheckResult:
     cfg = ModelConfig(n_blocks=1, width=8, scale=2)
     store = init_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
-    lr_pair = StereoPair(
-        left=Tensor(rng.uniform(size=(1, 3, 8, 16))),
-        right=Tensor(rng.uniform(size=(1, 3, 8, 16))),
-    )
-    hr_pair = StereoPair(
-        left=Tensor(rng.uniform(size=(1, 3, 16, 32))),
-        right=Tensor(rng.uniform(size=(1, 3, 16, 32))),
-    )
+    lr_pair = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 8, 16))) for _ in range(2)))
+    hr_pair = StereoPair(*(Tensor(rng.uniform(size=(1, 3, 16, 32))) for _ in range(2)))
 
     def f(params):
         st = store.replace_values(params)

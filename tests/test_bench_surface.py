@@ -6,6 +6,7 @@ benchmark itself runs.  The benchmark's files are parsed, not imported.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -110,6 +111,35 @@ def test_the_benchmark_references_are_found():
             "stereosr.model.StereoPair", "stereosr.tensor.GradTape",
             "stereosr.transport.deam_forward", "stereosr.images.decode_png",
             "stereosr.blocks.conv2d"} <= refs
+
+
+# The attributes the benchmark reads off values the package returns, by the
+# values' classes.  The parser above follows only attribute chains rooted at
+# an imported name; it cannot tell the class of a call's result, an item of
+# a returned tuple or a loop variable, so it misses e.g. workloads.py's
+# `result[2].row_sums()` on the plan that deam_forward returns.
+RETURNED_ATTRIBUTES = {
+    "stereosr.transport.TransportPlan": ("values", "row_sums"),
+    "stereosr.transport.CostVolume": ("values",),
+    "stereosr.model.StereoPair": ("left", "right"),
+    "stereosr.model.ModelConfig": ("n_blocks", "scale", "lska_branches", "sinkhorn_iters",
+                                   "share_view_weights", "single_interaction",
+                                   "global_residual", "deam_stages"),
+    "stereosr.model.WeightStore": ("items", "tensors"),
+    "stereosr.blocks.LskaBranch": ("dilation",),
+    "stereosr.images.ImageBuffer": ("pixels", "to_tensor"),
+    "stereosr.tensor.Tensor": ("data", "item", "shape", "h", "w"),
+    "stereosr.tensor.GradTape": ("__enter__", "__exit__", "__len__", "gradients"),
+    "stereosr.train.StepLog": ("loss",),
+}
+
+
+@pytest.mark.parametrize("cls", RETURNED_ATTRIBUTES)
+def test_every_attribute_read_off_a_returned_value_resolves(cls):
+    klass = resolve(cls)
+    # a dataclass field without a default is no class attribute
+    fields = {f.name for f in dataclasses.fields(klass)} if dataclasses.is_dataclass(klass) else ()
+    assert [a for a in RETURNED_ATTRIBUTES[cls] if not hasattr(klass, a) and a not in fields] == []
 
 
 def test_a_missing_name_is_reported():

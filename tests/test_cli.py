@@ -628,6 +628,30 @@ class TestCostVolumeBound:
         assert "16x128" in err and f"{n_blocks} cross-view stages" in err
 
 
+class TestOutputSizeBound:
+    @pytest.mark.parametrize("height, code, message", [
+        (65537, cli.EXIT_USAGE, "gives 262148x64 outputs, above the bound of 16777216 pixels"),
+        (65536, cli.EXIT_IO, "no IEND chunk"),
+    ], ids=["over_bound", "on_bound"])
+    def test_infer_output_checked_from_the_headers(self, tmp_path, capsys, height, code, message):
+        # 16-wide views at x4: the cost volume, 16 * 16 * h, is under its
+        # bound, and the output, 64 x 4h pixels, is exactly MAX_PIXELS at
+        # h = 65536.  The files hold a signature and IHDR only, so a pair
+        # that passes every size check fails on decoding
+        ihdr = struct.pack(">IIBBBBB", 16, height, 8, 2, 0, 0, 0)
+        left, right = tmp_path / "left.png", tmp_path / "right.png"
+        for path in (left, right):
+            path.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr))
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        assert cli.main(["infer", "--left", str(left), "--right", str(right),
+                         "--weights", str(weights), "--out-dir", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSizesCheckedFromHeaders:
     """A pair whose views differ in size or exceed the cost-volume bound is
     rejected from the PNG headers: decode_png never runs."""

@@ -22,6 +22,7 @@ from stereosr import tensor as tz
 from stereosr.blocks import LskaBranch
 from stereosr.model import ModelConfig, StereoPair, WeightFormatError, WeightStore
 from stereosr.tensor import Tensor, bilinear_upsample
+from stereosr.train import loss_total
 
 
 def tiny_config(**kwargs):
@@ -86,7 +87,7 @@ class TestInitModel:
     def test_default_param_count_sanity_band(self):
         # full-size default model lands in the expected ~1-2M range
         store = md.init_model(ModelConfig(), seed=0)
-        assert 0.5e6 < store.param_count < 4e6
+        assert 0.5e6 < sum(t.numel for t in store.tensors()) < 4e6
 
     @pytest.mark.parametrize("change, match", [
         (lambda ts: ts[:-1], "expected"),
@@ -378,6 +379,56 @@ class TestForward:
             )
             digests.add(digest)
         assert len(digests) == 1
+
+
+class TestBlockReplay:
+    """One block replayed alone on a fresh tape, from a leaf copy of its
+    input and seeded with its output's cotangent from the whole step, gives
+    the whole tape's gradients bit for bit.  Every reader of a block's
+    input lies inside the block, so its cotangent accumulates in the same
+    order either way: the condition a checkpointed block rests on."""
+
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "separate"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_seeded_replay_matches_the_full_tape(self, monkeypatch, dtype, share):
+        cfg = ModelConfig(n_blocks=2, width=16, share_view_weights=share)
+        rng = np.random.default_rng(16)
+        # perturbed so that the cross-view stages, zero at init, are live
+        store = WeightStore(cfg, [
+            (name, Tensor((t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)))
+            for name, t in md.init_model(cfg, seed=0).items()])
+        lr, hr = (StereoPair(*(Tensor(rng.uniform(size=(1, 3, h, w)).astype(dtype))
+                               for _ in range(2))) for h, w in ((24, 72), (96, 288)))
+        calls = []   # (input, params, output) per MSCAB: block 0 left, right, block 1 ...
+        mscab_forward = md._blocks.mscab_forward
+
+        def capture(x, params, branches):
+            out = mscab_forward(x, params, branches)
+            calls.append((x, params, out))
+            return out
+
+        monkeypatch.setattr(md._blocks, "mscab_forward", capture)
+        with tz.GradTape() as tape:
+            loss = loss_total(md.forward(lr, store), hr)
+        block = calls[2:4]
+        ends = [t for x, _, out in block for t in (x, out)]
+        *grads, g_in_l, g_out_l, g_in_r, g_out_r = tape.gradients(loss, store.tensors() + ends)
+        full = dict(zip(store.names(), grads))
+
+        replayed = {}
+        for (x, params, _), g_in, g_out, prefix in zip(
+                block, (g_in_l, g_in_r), (g_out_l, g_out_r), md._views(cfg)):
+            leaf = Tensor(x.data.copy())
+            with tz.GradTape() as replay:
+                out = mscab_forward(leaf, params, cfg.lska_branches)
+            g_leaf, *g_params = replay.gradients(out, [leaf, *params.values()], g_out)
+            assert np.array_equal(g_leaf, g_in)
+            for name, g in zip(params, g_params):
+                key = f"{prefix}block.1.{name}"
+                replayed[key] = replayed[key] + g if key in replayed else g
+        assert len(replayed) == len(params) * (1 if share else 2)
+        for key, g in replayed.items():
+            assert np.array_equal(g, full[key]), key
 
 
 class TestSerialization:

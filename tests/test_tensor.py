@@ -721,7 +721,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = tz.tensor(np.ones((1, 1, 2, 2)))
         with GradTape() as tape:
-            y = tz.mul(x, 2.0)
+            y = tz.mul(x, tz.full((1, 1, 1, 1), 2.0))
         with pytest.raises(ShapeError):
             tape.gradients(y, [x])
 
@@ -730,7 +730,7 @@ class TestBackward:
     def test_cotangent_of_another_shape_rejected(self, shape):
         x = tz.tensor(np.ones((1, 1, 2, 2)))
         with GradTape() as tape:
-            y = tz.mul(x, 2.0)
+            y = tz.mul(x, tz.full((1, 1, 1, 1), 2.0))
         with pytest.raises(ShapeError, match="cotangent shaped"):
             tape.gradients(y, [x], np.ones(shape, y.dtype))
 
@@ -739,14 +739,14 @@ class TestBackward:
         # a float64 seed would promote every float32 cotangent behind it
         x = tz.tensor(np.ones((1, 1, 2, 2)))
         with GradTape() as tape:
-            y = tz.mul(x, 2.0)
+            y = tz.mul(x, tz.full((1, 1, 1, 1), 2.0))
         with pytest.raises(TypeError, match="cotangent is"):
             tape.gradients(y, [x], np.ones(y.shape, dtype))
 
     def test_seeded_output_requested_gets_its_cotangent(self):
         x = tz.tensor(np.array([1.0, -2.0, 0.5]).reshape(1, 3, 1, 1))
         with GradTape() as tape:
-            y = tz.mul(x, 3.0)
+            y = tz.mul(x, tz.full((1, 1, 1, 1), 3.0))
             z = tz.mul(y, y)
         cot = np.array([0.25, -4.0, 7.0], np.float32).reshape(z.shape)
         g_z, g_x, g_y = tape.gradients(z, [z, x, y], cot)
@@ -806,7 +806,7 @@ class TestBackward:
         # accumulated before its own record runs
         x = tz.tensor(np.array([1.0, -2.0]).reshape(1, 2, 1, 1))
         with GradTape() as tape:
-            y = tz.mul(x, 3.0)
+            y = tz.mul(x, tz.full((1, 1, 1, 1), 3.0))
             out = tz.add(tz.mul(y, y), y)   # y^2 + y
         g_y, g_x = tape.gradients(out, [y, x], np.ones_like(out.data))
         np.testing.assert_allclose(g_y.ravel(), [7.0, -11.0])
@@ -816,10 +816,11 @@ class TestBackward:
         # a 40-record chain over 1 MiB: holding every cotangent until the
         # end would need about 40 MiB
         x = tz.tensor(np.ones((1, 1, 512, 512)))
+        k = tz.full((1, 1, 1, 1), 1.5)
         with GradTape() as tape:
             y = x
             for _ in range(40):
-                y = tz.mul(y, 1.5)
+                y = tz.mul(y, k)
         tracemalloc.start()
         try:
             (g,) = tape.gradients(y, [x], np.ones_like(y.data))
@@ -842,7 +843,7 @@ class TestBackward:
         lows = [tz.tensor(rng.normal(size=(1, 2, 2, 3)), np.float64) for _ in range(4)]
         kept, leaf_ids = [], []
         with GradTape() as tape:
-            y = tz.pixel_shuffle(tz.mul(p, 2.0), 2)
+            y = tz.pixel_shuffle(tz.mul(p, tz.full((1, 1, 1, 1), 2.0, np.float64)), 2)
             for low in lows:
                 leaf = tz.bilinear_upsample(low, 2)
                 leaf_ids.append(id(leaf))
@@ -933,5 +934,5 @@ class TestDeterminism:
     def test_finite_outputs(self):
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(1, 4, 8, 8)).astype(np.float32))
-        out = tz.logsumexp(tz.mul(x, 10.0), axis=3)
+        out = tz.logsumexp(tz.mul(x, tz.full((1, 1, 1, 1), 10.0)), axis=3)
         assert np.isfinite(out.data).all()

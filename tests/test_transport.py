@@ -41,11 +41,12 @@ def _sinkhorn_unrolled(m: CostVolume, cfg: SinkhornConfig) -> Tensor:
     scores = m.values
     n, rows, w, _ = scores.shape
     log_w = tz.full((1, 1, 1, 1), math.log(w), dtype=scores.dtype)
+    neg = tz.full((1, 1, 1, 1), -1.0, dtype=scores.dtype)
     u = tz.zeros((n, rows, w, 1), dtype=scores.dtype)
     v = tz.zeros((n, rows, 1, w), dtype=scores.dtype)
     for _ in range(cfg.iters):
-        v = tz.mul(tz.add(tz.logsumexp(tz.add(scores, u), axis=2), log_w), -1.0)
-        u = tz.mul(tz.add(tz.logsumexp(tz.add(scores, v), axis=3), log_w), -1.0)
+        v = tz.mul(tz.add(tz.logsumexp(tz.add(scores, u), axis=2), log_w), neg)
+        u = tz.mul(tz.add(tz.logsumexp(tz.add(scores, v), axis=3), log_w), neg)
     return tz.exp(tz.add(tz.add(tz.add(scores, u), v), log_w))
 
 
