@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import os
 import sys
@@ -170,6 +171,8 @@ def _cmd_infer(args) -> int:
             f"input size {h}x{w} at scale {cfg.scale} gives {cfg.scale * h}x{cfg.scale * w} "
             f"outputs, above the bound of {MAX_PIXELS} pixels"
         )
+    if os.path.lexists(args.out_dir) and not os.path.isdir(args.out_dir):   # makedirs' error
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out_dir)
     sr = forward(_load_pair(args.left, args.right), store, cfg)
     # quantize both views first: a non-finite output writes neither
     views = {"left_sr.png": ImageBuffer.from_tensor(sr.left),
@@ -199,17 +202,19 @@ def _cmd_overfit(args) -> int:
     # the cropped size before decoding and the downsampling, whose dense
     # matrices grow with the input
     check_cost_volume(h // cfg.scale, w // cfg.scale, len(cfg.deam_stages()))
+    if os.path.isdir(args.out):   # save_weights' error
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     hr = _load_pair(args.left, args.right)
     hr = StereoPair(*(_crop_to_multiple(v, cfg.scale) for v in (hr.left, hr.right)))
     lr = StereoPair(*(bicubic_downsample(v, cfg.scale) for v in (hr.left, hr.right)))
     log_path = args.out + ".log"
-    with open(log_path, "w") as log_file:
+    with open(log_path, "w", buffering=1) as log_file:   # a killed run keeps its lines
         def on_step(entry):
             log_file.write(format_log_line(entry) + "\n")
             if entry.step % 100 == 0 or entry.step == args.steps - 1:
                 print(format_log_line(entry))
 
-        store, _ = overfit(lr, hr, cfg, steps=args.steps, seed=args.seed, log_fn=on_step)
+        store = overfit(lr, hr, cfg, steps=args.steps, seed=args.seed, log_fn=on_step)
     save_weights(store, args.out)
     print(f"weights: {args.out}")
     print(f"log: {log_path}")

@@ -103,16 +103,17 @@ def _clip01(t: Tensor) -> Tensor:
 
 
 def overfit(pair_lr: StereoPair, pair_hr: StereoPair, cfg: ModelConfig, steps: int,
-            seed: int = 0, log_fn=None) -> tuple[WeightStore, list[StepLog]]:
-    """Fit the model to a single stereo pair.
+            seed: int = 0, log_fn=None) -> WeightStore:
+    """Fit the model to a single stereo pair and return the trained weights.
 
     Each step runs forward, the combined loss, tape backward, and one Lion
-    update under the cosine schedule.  PSNR per view is logged against the
-    target with the output clipped to [0, 1] (matching what inference would
-    write out).  Deterministic for a fixed seed; a non-finite loss aborts
-    with the offending step index.  A taped step holds every cross-view
-    stage's cost volumes until the backward, so an input whose volumes add
-    up to more than MAX_COST_VOLUME raises ShapeError before any work.
+    update under the cosine schedule, then hands its StepLog to ``log_fn``
+    if given; only then is PSNR per view taken against the target, with the
+    output clipped to [0, 1] as inference would write it.  Deterministic for
+    a fixed seed; a non-finite loss aborts with the offending step index.  A
+    taped step holds every cross-view stage's cost volumes until the
+    backward, so an input whose volumes add up to more than MAX_COST_VOLUME
+    raises ShapeError before any work.
     """
     r = cfg.scale
     if (pair_hr.left.h, pair_hr.left.w) != (r * pair_lr.left.h, r * pair_lr.left.w):
@@ -123,7 +124,6 @@ def overfit(pair_lr: StereoPair, pair_hr: StereoPair, cfg: ModelConfig, steps: i
     check_cost_volume(pair_lr.left.h, pair_lr.left.w, len(cfg.deam_stages()), pair_lr.left.n)
     store = init_model(cfg, seed)
     momentum = [np.zeros_like(t.data) for t in store.tensors()]
-    log: list[StepLog] = []
     for step in range(steps):
         lr = cosine_lr(step, steps)
         params = store.tensors()
@@ -135,12 +135,10 @@ def overfit(pair_lr: StereoPair, pair_hr: StereoPair, cfg: ModelConfig, steps: i
             raise TrainingDivergedError(step, loss_value)
         grads = tape.gradients(loss, params)
         store, momentum = lion_step(store, grads, momentum, lr)
-        entry = StepLog(
-            step=step, lr=lr, loss=loss_value,
-            psnr_left=psnr(_clip01(sr.left), pair_hr.left),
-            psnr_right=psnr(_clip01(sr.right), pair_hr.right),
-        )
-        log.append(entry)
         if log_fn is not None:
-            log_fn(entry)
-    return store, log
+            log_fn(StepLog(
+                step=step, lr=lr, loss=loss_value,
+                psnr_left=psnr(_clip01(sr.left), pair_hr.left),
+                psnr_right=psnr(_clip01(sr.right), pair_hr.right),
+            ))
+    return store

@@ -103,7 +103,8 @@ def test_criterion_5_overfit_convergence():
 
     cfg = ModelConfig(n_blocks=2, width=16, scale=4)
     start = time.monotonic()
-    _, log = overfit(lr_pair, hr_pair, cfg, steps=2000, seed=0)
+    log = []
+    overfit(lr_pair, hr_pair, cfg, steps=2000, seed=0, log_fn=log.append)
     elapsed = time.monotonic() - start
 
     ratio = log[-1].loss / log[0].loss

@@ -22,6 +22,7 @@ from stereosr.model import (
     check_cost_volume, init_model, layout, save_weights,
 )
 from stereosr.tensor import ShapeError, Tensor
+from stereosr.train import StepLog
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
 
@@ -459,6 +460,40 @@ class TestOsErrors:
         ])
         self._assert_io_error(code, capsys)
 
+    def test_infer_out_dir_checked_before_the_forward(self, png_pair, tmp_path, monkeypatch,
+                                                      capsys):
+        def forward(*args):
+            raise AssertionError("forward ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "forward", forward)
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(blocker),
+        ])
+        assert f"[Errno 17] File exists: '{blocker}'" in capsys.readouterr().err
+        assert code == cli.EXIT_IO
+
+    def test_overfit_out_checked_before_any_step(self, png_pair, tmp_path, capsys):
+        left, right = png_pair
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+        out = tmp_path / "fit"
+        out.mkdir()
+        code = cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "30", "--out", str(out),
+        ])
+        out_text, err = capsys.readouterr()
+        assert f"[Errno 21] Is a directory: '{out}'" in err
+        assert out_text == ""
+        assert code == cli.EXIT_IO
+        assert not (tmp_path / "fit.log").exists()
+
     def test_metrics_path_under_file(self, png_pair, capsys):
         left, _ = png_pair
         code = cli.main(["metrics", "--ref", str(left), "--test", str(left) + "/"])
@@ -747,6 +782,27 @@ class TestOverfitCommand:
         first = log_lines[0].split("\t")
         assert first[0] == "0"
         assert len(first) == 5
+
+    def test_each_log_line_reaches_the_file_as_written(self, png_pair, tmp_path, monkeypatch,
+                                                        capsys):
+        log_path = tmp_path / "fit.msin.log"
+
+        def overfit(lr, hr, cfg, steps, seed, log_fn):
+            for step in range(steps):
+                log_fn(StepLog(step=step, lr=1e-4, loss=0.5, psnr_left=20.0, psnr_right=21.0))
+                assert len(log_path.read_text().splitlines()) == step + 1
+            return init_model(cfg, seed)
+
+        monkeypatch.setattr(cli, "overfit", overfit)
+        left, right = png_pair
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+        code = cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "3", "--out", str(tmp_path / "fit.msin"),
+        ])
+        assert code == 0
+        assert len(log_path.read_text().splitlines()) == 3
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
 """Loss arithmetic, Lion updates, the cosine schedule, and the overfit
 harness."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from stereosr import tensor as tz
 from stereosr import transport as ot
 from stereosr import verify
 from stereosr.blocks import LskaBranch
-from stereosr.model import ModelConfig, StereoPair, forward, init_model, init_params
+from stereosr.model import (ModelConfig, StereoPair, WeightStore, forward, init_model,
+                            init_params)
 from stereosr.tensor import Tensor
 from stereosr.train import BETA1, BETA2, FREQ_WEIGHT, StepLog
 
@@ -174,7 +177,8 @@ class TestOverfit:
 
     def test_zero_steps_returns_initial_weights(self):
         lr, hr = self._pairs()
-        store, log = tr.overfit(lr, hr, self._cfg(), steps=0, seed=5)
+        log = []
+        store = tr.overfit(lr, hr, self._cfg(), steps=0, seed=5, log_fn=log.append)
         reference = init_model(self._cfg(), seed=5)
         assert log == []
         for a, b in zip(store.tensors(), reference.tensors()):
@@ -182,18 +186,39 @@ class TestOverfit:
 
     def test_losses_finite_and_logged(self):
         lr, hr = self._pairs()
-        store, log = tr.overfit(lr, hr, self._cfg(), steps=5, seed=6)
+        log = []
+        tr.overfit(lr, hr, self._cfg(), steps=5, seed=6, log_fn=log.append)
         assert len(log) == 5
         assert all(math.isfinite(e.loss) for e in log)
         assert [e.step for e in log] == list(range(5))
 
     def test_deterministic_given_seed(self):
         lr, hr = self._pairs()
-        store_a, log_a = tr.overfit(lr, hr, self._cfg(), steps=4, seed=7)
-        store_b, log_b = tr.overfit(lr, hr, self._cfg(), steps=4, seed=7)
+        log_a, log_b = [], []
+        store_a = tr.overfit(lr, hr, self._cfg(), steps=4, seed=7, log_fn=log_a.append)
+        store_b = tr.overfit(lr, hr, self._cfg(), steps=4, seed=7, log_fn=log_b.append)
         assert [e.loss for e in log_a] == [e.loss for e in log_b]
         for a, b in zip(store_a.tensors(), store_b.tensors()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_entries_are_streamed_not_kept(self, monkeypatch):
+        # each step's entry goes to log_fn alone, and without log_fn no
+        # PSNR is taken
+        lr, hr = self._pairs()
+        seen = []
+
+        def on_step(entry):
+            gc.collect()
+            assert [ref() for ref in seen] == [None] * len(seen)
+            seen.append(weakref.ref(entry))
+
+        assert isinstance(tr.overfit(lr, hr, self._cfg(), steps=3, seed=6, log_fn=on_step),
+                          WeightStore)
+        assert len(seen) == 3
+        calls = []
+        monkeypatch.setattr(tr, "psnr", lambda *args: calls.append(args))
+        tr.overfit(lr, hr, self._cfg(), steps=2, seed=6)
+        assert calls == []
 
     def test_size_mismatch_rejected(self):
         lr, hr = self._pairs()
