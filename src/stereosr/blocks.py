@@ -3,7 +3,10 @@
 Each block (MSCAB) is two residual sub-blocks.  The first (MSCAM) combines
 simplified channel attention with multi-scale large-separable-kernel spatial
 attention; the second (SFFN) is an activation-free feed-forward.  The only
-nonlinearity anywhere is the simple gate (channel-split product).
+nonlinearity anywhere is the simple gate (channel-split product).  Each
+large-separable-kernel branch is one conv2d chain of its four depthwise
+convolutions, so a taped step keeps the branch's input but not its three
+inner maps, which the chain's backward rebuilds.
 """
 
 from __future__ import annotations
@@ -91,10 +94,12 @@ def sca(y: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _lska_branch(y: Tensor, p, j: int, branch: LskaBranch) -> Tensor:
-    t = y
-    for name, _, dilation in _lska_convs(y.c, branch):
-        t = apply_conv(t, p, f"mscam.lska.{j}.{name}", dilation)
-    return t
+    """The branch's four convolutions as one conv2d chain, whose record
+    keeps only ``y`` and rebuilds the three inner maps in the backward."""
+    convs = _lska_convs(y.c, branch)
+    names = [f"mscam.lska.{j}.{name}" for name, _, _ in convs]
+    return conv2d(y, [p[f"{name}.weight"] for name in names], [p[f"{name}.bias"] for name in names],
+                  [dilation for _, _, dilation in convs])
 
 
 def mslska(y: Tensor, p, branches: tuple[LskaBranch, ...]) -> Tensor:

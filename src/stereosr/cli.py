@@ -154,6 +154,26 @@ def _load_pair(left_path, right_path) -> StereoPair:
     return StereoPair(left=load_png(left_path).to_tensor(), right=load_png(right_path).to_tensor())
 
 
+def _split(name: str) -> tuple[str, str]:
+    """os.path.split, past one trailing separator, as os.makedirs splits."""
+    head, tail = os.path.split(name)
+    return os.path.split(head) if not tail else (head, tail)
+
+
+def _check_out_dir(name: str) -> None:
+    """Raise the error os.makedirs(name, exist_ok=True) gives when a file
+    is in its way, without creating anything: at ``name`` itself, or at
+    its nearest existing ancestor, which makedirs' first mkdir fails under."""
+    # mkdir sees past a trailing separator to the entry that is there
+    if os.path.lexists(name.rstrip(os.sep) or name) and not os.path.isdir(name):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), name)
+    child, (head, tail) = name, _split(name)
+    while head and tail and not os.path.exists(head):
+        child, (head, tail) = head, _split(head)
+    if head and tail and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), child)
+
+
 def _cmd_infer(args) -> int:
     # forward's own bound on its one cost volume, checked before anything
     # larger than the two headers is read
@@ -171,8 +191,7 @@ def _cmd_infer(args) -> int:
             f"input size {h}x{w} at scale {cfg.scale} gives {cfg.scale * h}x{cfg.scale * w} "
             f"outputs, above the bound of {MAX_PIXELS} pixels"
         )
-    if os.path.lexists(args.out_dir) and not os.path.isdir(args.out_dir):   # makedirs' error
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out_dir)
+    _check_out_dir(args.out_dir)
     sr = forward(_load_pair(args.left, args.right), store, cfg)
     # quantize both views first: a non-finite output writes neither
     views = {"left_sr.png": ImageBuffer.from_tensor(sr.left),

@@ -9,8 +9,10 @@ output and its inputs by their tensors' keys, and its backward rule maps
 that output's cotangent to one cotangent per input.  A record holds no
 tensor itself: the backward rule keeps only the operands it reads, so a
 map that no backward reads is freed as soon as the forward drops it.
-float64 is supported throughout so numerical checks can run at higher
-precision than the training path.
+A chain of convolutions is one record that keeps its input and rebuilds
+its inner maps in the backward (see :func:`conv2d`).  float64 is
+supported throughout so numerical checks can run at higher precision
+than the training path.
 """
 
 from __future__ import annotations
@@ -521,9 +523,18 @@ def _conv_backward(x: np.ndarray, g: np.ndarray, w: np.ndarray, dilation):
     return dx.reshape(x.shape), dw.swapaxes(1, 2)[..., ::-1].reshape(w.shape)
 
 
-def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
+def _conv_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation) -> np.ndarray:
+    """_conv_forward(x, w, dilation) + b."""
+    o = _conv_forward(x, w, dilation)
+    # the bias goes into the product's own output when that is already of
+    # the sum's dtype, so a float64 bias still promotes
+    own = o.dtype == np.result_type(o, b)
+    return np.add(o, b, out=o if own else None)
+
+
+def conv2d(x: Tensor, weights, bias, dilation=(1, 1)) -> Tensor:
     """Stride-1 2-D cross-correlation with zero "same" padding, plus a
-    per-output-channel bias of shape (1, out_ch, 1, 1).
+    per-output-channel bias of shape (1, out_ch, 1, 1); or a chain of them.
 
     The kernel's shape (out_ch, in_ch, kh, kw) decides the convolution: a
     full one when in_ch is the input's channel count, a depthwise one when
@@ -533,37 +544,57 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor, dilation=(1, 1)) -> Tensor:
     must be odd, so the symmetric padding (k - 1) * dilation / 2 reproduces
     the input's spatial size exactly.  A 1x1 kernel is accepted, but the
     network applies every 1x1 kernel with conv1x1.
-    """
-    out_ch, in_ch, kh, kw = weights.shape
-    depthwise = in_ch != x.c
-    if depthwise and not (in_ch == 1 and out_ch == x.c):
-        raise ShapeError(
-            f"kernel shaped {weights.shape} fits neither a full convolution of the input's "
-            f"{x.c} channels (in_ch {x.c}) nor a depthwise one (in_ch 1, out_ch {x.c})"
-        )
-    dh, dw = dilation
-    if dh < 1 or dw < 1:
-        raise ShapeError(f"dilation must be >= 1, got {dilation}")
-    if ((kh - 1) * dh) % 2 or ((kw - 1) * dw) % 2:
-        raise ShapeError(
-            f"effective kernel extent must be odd for exact same padding; "
-            f"got kernel ({kh}, {kw}) with dilation {dilation}"
-        )
-    if bias.shape != (1, out_ch, 1, 1):
-        raise ShapeError(f"bias shaped {bias.shape}, expected (1, {out_ch}, 1, 1)")
 
-    o = _conv_forward(x.data, weights.data, dilation)
-    # the bias goes into the product's own output when that is already of
-    # the sum's dtype, so a float64 bias still promotes
-    own = o.dtype == np.result_type(o, bias.data)
-    out = Tensor(np.add(o, bias.data, out=o if own else None))
+    A chain takes sequences of kernels, biases and dilations, one entry per
+    convolution, and applies them to ``x`` in turn: one record whose inputs
+    are x, then each convolution's kernel and bias.  It holds x and those
+    operands only.  Its backward rebuilds the inner maps from x with the
+    same operations as the forward, so a chain's output and gradients equal
+    those of one record per convolution bit for bit, while its inner maps
+    leave the tape: each is read by the next convolution alone.
+    """
+    if isinstance(weights, Tensor):
+        weights, bias, dilation = (weights,), (bias,), (dilation,)
+    c = x.c
+    for w, b, d in zip(weights, bias, dilation, strict=True):
+        out_ch, in_ch, kh, kw = w.shape
+        dh, dw = d
+        if in_ch != c and not (in_ch == 1 and out_ch == c):
+            raise ShapeError(
+                f"kernel shaped {w.shape} fits neither a full convolution of the input's "
+                f"{c} channels (in_ch {c}) nor a depthwise one (in_ch 1, out_ch {c})"
+            )
+        if dh < 1 or dw < 1:
+            raise ShapeError(f"dilation must be >= 1, got {d}")
+        if ((kh - 1) * dh) % 2 or ((kw - 1) * dw) % 2:
+            raise ShapeError(
+                f"effective kernel extent must be odd for exact same padding; "
+                f"got kernel ({kh}, {kw}) with dilation {d}"
+            )
+        if b.shape != (1, out_ch, 1, 1):
+            raise ShapeError(f"bias shaped {b.shape}, expected (1, {out_ch}, 1, 1)")
+        c = out_ch
+
+    ws, bs = [w.data for w in weights], [b.data for b in bias]
+    t = x.data
+    for w, b, d in zip(ws, bs, dilation):
+        t = _conv_bias(t, w, b, d)
+    out = Tensor(t)
 
     def bwd(g):
-        dx, dw = _conv_backward(x.data, g, weights.data, dilation)
-        db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-        return dx, dw, db
+        maps = [x.data]
+        for w, b, d in zip(ws[:-1], bs[:-1], dilation):
+            maps.append(_conv_bias(maps[-1], w, b, d))
+        # last convolution first; each map is dropped once its kernel's
+        # backward has read it
+        grads = []
+        for w, d in zip(reversed(ws), reversed(dilation)):
+            db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+            g, dw = _conv_backward(maps.pop(), g, w, d)
+            grads += [db, dw]
+        return (g, *reversed(grads))
 
-    _record("conv2d", (x, weights, bias), out, bwd)
+    _record("conv2d", (x, *(op for pair in zip(weights, bias) for op in pair)), out, bwd)
     return out
 
 

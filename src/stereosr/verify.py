@@ -111,6 +111,16 @@ def primitive_cases(seed: int = 0) -> dict[str, tuple[list[Tensor], object, floa
         ("conv1x1_scale", [x, w, bia, scale], lambda p: tz.conv1x1(*p[:3], scale=p[3])),
     ]
 
+    # an LSKA branch's chain of four depthwise convolutions, the last two
+    # dilated, as one record; drawn last, so every other row keeps its operands
+    chain = [((4, 1, 1, 3), (1, 1)), ((4, 1, 3, 1), (1, 1)), ((4, 1, 1, 3), (1, 2)),
+             ((4, 1, 3, 1), (2, 1))]
+    ops = []
+    for shape, _ in chain:
+        ops += [_rand(rng, shape), _rand(rng, (1, 4, 1, 1))]
+    checks.append(("conv2d_chain", [x, *ops],
+                   lambda p: tz.conv2d(p[0], p[1::2], p[2::2], [d for _, d in chain])))
+
     # the layer norm's curvature puts the central difference's O(step^2)
     # truncation at up to 7e-5 at grad_check's default step of 1e-3, and at
     # up to 7e-7 at a step of 1e-4, which its rows take

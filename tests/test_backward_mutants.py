@@ -43,6 +43,8 @@ def rows(*names: str) -> tuple[str, ...]:
 
 # name: (rule, index of the cotangent to scale, the input counts of the
 # records it scales, or None for every record of the rule, the checks).  A
+# conv2d record's inputs are x, then each convolution's W and b, so a chain
+# of four, as in an LSKA branch, has 9, and its last W and b come last.  A
 # conv1x1 record's inputs are x, W, b, the scale if given, then the norm's
 # gain and shift if given; a sinkhorn record of the scaling form has one
 # input, the scores, and the log-domain fallback's have two (a dual update:
@@ -53,6 +55,8 @@ MUTANTS = {
     "conv2d-dx": ("conv2d", 0, None, CONV2D_CHECKS),
     "conv2d-dW": ("conv2d", 1, None, CONV2D_CHECKS),
     "conv2d-db": ("conv2d", 2, None, CONV2D_CHECKS),
+    "conv2d-chain-last-dW": ("conv2d", -2, (9,), (*rows("conv2d_chain"), *REFERENCE)),
+    "conv2d-chain-last-db": ("conv2d", -1, (9,), (*rows("conv2d_chain"), *REFERENCE)),
     "conv1x1-dx": ("conv1x1", 0, None, CONV1X1_CHECKS),
     "conv1x1-dW": ("conv1x1", 1, None, CONV1X1_CHECKS),
     "conv1x1-db": ("conv1x1", 2, None, CONV1X1_CHECKS),
@@ -143,7 +147,7 @@ def _assert_killed(out: str, name: str):
         assert f"FAILED {ROW}[" in part, part[-2000:]
 
 
-@pytest.mark.parametrize("index", ["dx", "dW", "db"])
+@pytest.mark.parametrize("index", ["dx", "dW", "db", "chain-last-dW", "chain-last-db"])
 def test_scaled_conv2d_cotangent_fails_a_check(mutant_runs, index):
     _assert_killed(mutant_runs, f"conv2d-{index}")
 

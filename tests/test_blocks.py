@@ -90,6 +90,42 @@ class TestMslska:
         with pytest.raises(ValueError, match="at least one branch"):
             bk.mslska(y, small_params(4), ())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("branch", bk.default_branches(),
+                             ids=lambda b: f"{b.base_k}-{b.dilated_k}-{b.dilation}")
+    def test_branch_chain_equals_its_four_convolutions(self, branch, dtype):
+        # one conv2d record of the branch against four: the output, the
+        # input's cotangent and all eight kernel and bias cotangents
+        c = 6
+        rng = np.random.default_rng(17)
+        convs = bk._lska_convs(c, branch)
+        x = Tensor(rng.normal(size=(2, c, 16, 40)).astype(dtype))
+        weights = [Tensor(rng.normal(size=shape).astype(dtype)) for _, shape, _ in convs]
+        biases = [Tensor(rng.normal(size=(1, c, 1, 1)).astype(dtype)) for _ in convs]
+        dilations = [dilation for _, _, dilation in convs]
+        g = rng.normal(size=x.shape).astype(dtype)
+        inputs = [x, *(t for pair in zip(weights, biases) for t in pair)]
+        with GradTape() as tape:
+            chain = tz.conv2d(x, weights, biases, dilations)
+        with GradTape() as parts:
+            out = x
+            for w, b, dilation in zip(weights, biases, dilations):
+                out = tz.conv2d(out, w, b, dilation)
+        assert (len(tape), len(parts)) == (1, 4)
+        assert np.array_equal(chain.data, out.data)
+        for got, want in zip(tape.gradients(chain, inputs, g), parts.gradients(out, inputs, g),
+                             strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_chain_checks_each_kernel_against_the_map_it_reads(self):
+        # a full 4 -> 2 kernel, then a depthwise one for 4 channels: the
+        # second reads 2 channels, so it fits neither reading
+        x = tz.zeros((1, 4, 5, 5))
+        with GradTape() as tape, pytest.raises(tz.ShapeError, match="2 channels"):
+            tz.conv2d(x, [tz.zeros((2, 4, 1, 1)), tz.zeros((4, 1, 3, 1))],
+                      [tz.zeros((1, 2, 1, 1)), tz.zeros((1, 4, 1, 1))], [(1, 1), (1, 1)])
+        assert len(tape) == 0
+
     def test_default_branches_preserve_shape(self):
         c = 4
         p = small_params(c, bk.default_branches(), seed=4)
@@ -130,15 +166,15 @@ class TestMscabBlocks:
         # the recorded graph holds only convolution, normalization, pooling,
         # the gate, products and additions.  Every 1x1 kernel (expand, fuse,
         # SCA and project in MSCAM, expand and project in SFFN) is a conv1x1;
-        # conv2d applies the dwconv and the 4 kernels of each of 3 branches.
-        # The adds are 2 branch sums and 2 residuals
+        # conv2d applies the dwconv, and each of the 3 branches' 4 kernels as
+        # one chain.  The adds are 2 branch sums and 2 residuals
         branches = bk.default_branches()
         p = small_params(branches=branches, seed=11)
         x = tz.tensor(np.random.default_rng(12).normal(size=(1, 4, 5, 5)))
         with GradTape() as tape:
             bk.mscab_forward(x, p, branches)
         assert Counter(rec.name for rec in tape._records) == {
-            "conv1x1": 6, "conv2d": 13, "simple_gate": 2, "add": 4, "mul": 2,
+            "conv1x1": 6, "conv2d": 4, "simple_gate": 2, "add": 4, "mul": 2,
             "global_avg_pool": 1}
 
     def test_mscam_gradcheck_all_params(self):

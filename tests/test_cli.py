@@ -478,6 +478,26 @@ class TestOsErrors:
         assert f"[Errno 17] File exists: '{blocker}'" in capsys.readouterr().err
         assert code == cli.EXIT_IO
 
+    def test_infer_out_dir_under_a_file_checked_before_the_forward(self, png_pair, tmp_path,
+                                                                  monkeypatch, capsys):
+        def forward(*args):
+            raise AssertionError("forward ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "forward", forward)
+        left, right = png_pair
+        weights = tmp_path / "model.msin"
+        save_weights(init_model(TINY, seed=0), weights)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = cli.main([
+            "infer", "--left", str(left), "--right", str(right),
+            "--weights", str(weights), "--out-dir", str(blocker / "sub" / "dir"),
+        ])
+        # os.makedirs' own error: its first mkdir, under the file
+        assert f"[Errno 20] Not a directory: '{blocker / 'sub'}'" in capsys.readouterr().err
+        assert code == cli.EXIT_IO
+        assert not (blocker / "sub").exists()
+
     def test_overfit_out_checked_before_any_step(self, png_pair, tmp_path, capsys):
         left, right = png_pair
         config = tmp_path / "model.cfg"

@@ -358,9 +358,9 @@ class TestTapeHygiene:
         # the two share one map; residual and fusion scales fold into the
         # kernels before them, so no unscaled projection or carry is kept
         per_view_block = (
-            19 * c * site  # MSCAM: norm and expand 1, dwconv 2, gate 2, LSKA input 1,
-                           # branch inner maps 3 x 3, fuse 1, attention 1, SCA 1,
-                           # project 1
+            10 * c * site  # MSCAM: norm and expand 1, dwconv 2, gate 2, LSKA input 1,
+                           # fuse 1, attention 1, SCA 1, project 1; each branch's
+                           # inner maps are rebuilt in its backward
             + 4 * c * site  # SFFN: norm and expand 1, gate 2, project 1
             + 4 * c * site  # cross-view stage: norm and match conv 1, value conv 1,
                             # cost matrix 1, carry 1
