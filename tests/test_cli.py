@@ -460,59 +460,65 @@ class TestOsErrors:
         ])
         self._assert_io_error(code, capsys)
 
+    @pytest.mark.parametrize("case", ["is_a_file", "under_a_file", "under_a_dangling_link",
+                                      "empty"])
     def test_infer_out_dir_checked_before_the_forward(self, png_pair, tmp_path, monkeypatch,
-                                                      capsys):
+                                                      capsys, case):
         def forward(*args):
             raise AssertionError("forward ran before the output directory was checked")
 
         monkeypatch.setattr(cli, "forward", forward)
+        monkeypatch.chdir(tmp_path)
         left, right = png_pair
         weights = tmp_path / "model.msin"
         save_weights(init_model(TINY, seed=0), weights)
         blocker = tmp_path / "taken"
         blocker.write_text("")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        # the --out-dir and os.makedirs' own error, from the first mkdir it makes
+        out_dir, message = {
+            "is_a_file": (blocker, f"[Errno 17] File exists: '{blocker}'"),
+            "under_a_file": (blocker / "sub" / "dir",
+                             f"[Errno 20] Not a directory: '{blocker / 'sub'}'"),
+            "under_a_dangling_link": (link / "x",
+                                      f"[Errno 2] No such file or directory: '{link / 'x'}'"),
+            "empty": ("", "[Errno 2] No such file or directory: ''"),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
         code = cli.main([
             "infer", "--left", str(left), "--right", str(right),
-            "--weights", str(weights), "--out-dir", str(blocker),
+            "--weights", str(weights), "--out-dir", str(out_dir),
         ])
-        assert f"[Errno 17] File exists: '{blocker}'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert code == cli.EXIT_IO
+        assert sorted(tmp_path.rglob("*")) == before   # blocker / "sub" included
 
-    def test_infer_out_dir_under_a_file_checked_before_the_forward(self, png_pair, tmp_path,
-                                                                  monkeypatch, capsys):
-        def forward(*args):
-            raise AssertionError("forward ran before the output directory was checked")
+    @pytest.mark.parametrize("case", ["directory", "empty"])
+    def test_overfit_out_checked_before_any_step(self, png_pair, tmp_path, monkeypatch, capsys,
+                                                 case):
+        def overfit(*args, **kwargs):
+            raise AssertionError("a step ran before --out was checked")
 
-        monkeypatch.setattr(cli, "forward", forward)
-        left, right = png_pair
-        weights = tmp_path / "model.msin"
-        save_weights(init_model(TINY, seed=0), weights)
-        blocker = tmp_path / "taken"
-        blocker.write_text("")
-        code = cli.main([
-            "infer", "--left", str(left), "--right", str(right),
-            "--weights", str(weights), "--out-dir", str(blocker / "sub" / "dir"),
-        ])
-        # os.makedirs' own error: its first mkdir, under the file
-        assert f"[Errno 20] Not a directory: '{blocker / 'sub'}'" in capsys.readouterr().err
-        assert code == cli.EXIT_IO
-        assert not (blocker / "sub").exists()
-
-    def test_overfit_out_checked_before_any_step(self, png_pair, tmp_path, capsys):
+        monkeypatch.setattr(cli, "overfit", overfit)
+        monkeypatch.chdir(tmp_path)   # where the log of an empty --out would land
         left, right = png_pair
         config = tmp_path / "model.cfg"
         config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
-        out = tmp_path / "fit"
-        out.mkdir()
+        (tmp_path / "fit").mkdir()
+        out, message = {
+            "directory": (tmp_path / "fit", f"[Errno 21] Is a directory: '{tmp_path / 'fit'}'"),
+            "empty": ("", "[Errno 2] No such file or directory: ''"),
+        }[case]
         code = cli.main([
             "overfit", "--left", str(left), "--right", str(right),
             "--config", str(config), "--steps", "30", "--out", str(out),
         ])
         out_text, err = capsys.readouterr()
-        assert f"[Errno 21] Is a directory: '{out}'" in err
+        assert message in err
         assert out_text == ""
         assert code == cli.EXIT_IO
-        assert not (tmp_path / "fit.log").exists()
+        assert list(tmp_path.glob("*.log")) == []
 
     def test_metrics_path_under_file(self, png_pair, capsys):
         left, _ = png_pair
