@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import io
 import os
 import sys
@@ -202,13 +201,11 @@ def _cmd_overfit(args) -> int:
     # the cropped size before decoding and the downsampling, whose dense
     # matrices grow with the input
     check_cost_volume(h // cfg.scale, w // cfg.scale, len(cfg.deam_stages()))
-    if os.path.isdir(args.out):   # save_weights' error
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-    if not args.out:   # save_weights' error; the log would land at ".log"
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     hr = _load_pair(args.left, args.right)
     hr = StereoPair(*(_crop_to_multiple(v, cfg.scale) for v in (hr.left, hr.right)))
     lr = StereoPair(*(bicubic_downsample(v, cfg.scale) for v in (hr.left, hr.right)))
+    # save_weights' open, made before the log and any step; "ab" keeps an existing file
+    open(args.out, "ab").close()
     log_path = args.out + ".log"
     with open(log_path, "w", buffering=1) as log_file:   # a killed run keeps its lines
         def on_step(entry):

@@ -159,8 +159,8 @@ def test_scaled_cotangent_fails_a_check(mutant_runs, name):
 
 def test_every_recorded_rule_has_a_gradcheck_row_and_a_mutant():
     # a rule is covered by a row of its name or one that extends it (conv2d
-    # by conv2d_full_3x3, spectral_l1 by spectral_l1_even), as in
-    # test_train.py's TestTapeCoverage
+    # by conv2d_full_3x3, spectral_l1 by spectral_l1_even); the rules are read
+    # off the source, so a record that no test step reaches is covered too
     source = [path.read_text() for path in Path(stereosr.__file__).resolve().parent.glob("*.py")]
     literals = [name for text in source for name in re.findall(r'_record\(\s*"(\w+)"', text)]
     # a rule recorded under a computed name would escape the checks below

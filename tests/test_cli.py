@@ -22,7 +22,7 @@ from stereosr.model import (
     check_cost_volume, init_model, layout, save_weights,
 )
 from stereosr.tensor import ShapeError, Tensor
-from stereosr.train import StepLog
+from stereosr.train import StepLog, TrainingDivergedError
 from stereosr.transport import MAX_SINKHORN_ITERS
 from _synthetic import make_hr_pair
 
@@ -494,7 +494,8 @@ class TestOsErrors:
         assert code == cli.EXIT_IO
         assert sorted(tmp_path.rglob("*")) == before   # blocker / "sub" included
 
-    @pytest.mark.parametrize("case", ["directory", "empty"])
+    @pytest.mark.parametrize("case", ["directory", "empty", "under_a_dangling_link",
+                                      "under_a_file"])
     def test_overfit_out_checked_before_any_step(self, png_pair, tmp_path, monkeypatch, capsys,
                                                  case):
         def overfit(*args, **kwargs):
@@ -506,10 +507,19 @@ class TestOsErrors:
         config = tmp_path / "model.cfg"
         config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
         (tmp_path / "fit").mkdir()
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing" / "x.msin")
+        # the --out and the OS's own error, which names --out itself
         out, message = {
             "directory": (tmp_path / "fit", f"[Errno 21] Is a directory: '{tmp_path / 'fit'}'"),
             "empty": ("", "[Errno 2] No such file or directory: ''"),
+            "under_a_dangling_link": (link, f"[Errno 2] No such file or directory: '{link}'"),
+            "under_a_file": (blocker / "x.msin",
+                             f"[Errno 20] Not a directory: '{blocker / 'x.msin'}'"),
         }[case]
+        before = sorted(tmp_path.rglob("*"))
         code = cli.main([
             "overfit", "--left", str(left), "--right", str(right),
             "--config", str(config), "--steps", "30", "--out", str(out),
@@ -519,6 +529,27 @@ class TestOsErrors:
         assert out_text == ""
         assert code == cli.EXIT_IO
         assert list(tmp_path.glob("*.log")) == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_overfit_keeps_an_existing_out_when_a_later_step_fails(self, png_pair, tmp_path,
+                                                                   monkeypatch, capsys):
+        def overfit(*args, **kwargs):
+            raise TrainingDivergedError(0, float("nan"))
+
+        monkeypatch.setattr(cli, "overfit", overfit)
+        left, right = png_pair
+        config = tmp_path / "model.cfg"
+        config.write_text("n_blocks = 1\nwidth = 8\nscale = 2\nlska_branches = 3:3:1\n")
+        out = tmp_path / "fit.msin"
+        save_weights(init_model(TINY, seed=0), out)
+        kept = out.read_bytes()
+        code = cli.main([
+            "overfit", "--left", str(left), "--right", str(right),
+            "--config", str(config), "--steps", "30", "--out", str(out),
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == kept   # checked without truncating
 
     def test_metrics_path_under_file(self, png_pair, capsys):
         left, _ = png_pair

@@ -14,6 +14,9 @@ duplicated and unknown keys, over-long digit strings, non-UTF-8 bytes):
 
 The runs are reproducible: examples come from a fixed seed
 (``derandomize=True``) and no example database is read or written.
+Each example unlinks its file before writing it: replacing a non-empty
+file can wait tens of milliseconds on the disk, which writing a new one
+does not.
 """
 
 import contextlib
@@ -138,6 +141,7 @@ def test_png_size_agrees_with_decode_png(png_path, base, edits, cut):
     # a header png_size rejects fails decode_png too, and the size it reads
     # is the size decode_png decodes
     blob = _mutated_png(base, edits, cut)
+    png_path.unlink(missing_ok=True)
     png_path.write_bytes(blob)
     try:
         size = png_size(png_path)
@@ -227,6 +231,7 @@ def _mutated_weights(edits, cut) -> bytes:
 # the first tensor's dims (2^31, 2^31, 4, 1): a 64-bit element count wraps to 0
 @example(edits=[("dims", (0, 2**31))], cut=None)
 def test_mutated_weight_file_raises_only_weight_format_error(weight_path, edits, cut):
+    weight_path.unlink(missing_ok=True)
     weight_path.write_bytes(_mutated_weights(edits, cut))
     try:
         load_weights(weight_path)
@@ -235,6 +240,7 @@ def test_mutated_weight_file_raises_only_weight_format_error(weight_path, edits,
 
 
 def test_unmutated_weight_file_loads(weight_path):
+    weight_path.unlink(missing_ok=True)
     weight_path.write_bytes(_mutated_weights([], None))
     assert len(load_weights(weight_path)) == len(_weight_base()[1][1])
 
@@ -334,6 +340,7 @@ def config_run(tmp_path_factory):
 @example(edits=[("byte", 3, 0xFF)])
 def test_mutated_config_raises_only_usage_error(config_run, edits):
     config, argv = config_run
+    config.unlink(missing_ok=True)
     config.write_bytes(_mutated_config(edits))
     try:
         cli.parse_config_file(config)
@@ -348,5 +355,6 @@ def test_mutated_config_raises_only_usage_error(config_run, edits):
 
 def test_unmutated_config_parses(config_run):
     config, _ = config_run
+    config.unlink(missing_ok=True)
     config.write_bytes(_mutated_config([]))
     assert cli.parse_config_file(config).n_blocks == 2
